@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
+.PHONY: check vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
 
-check: vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke
+check: vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -116,6 +116,13 @@ flight-smoke:
 	$(GO) test -race -count=1 . -run 'TestAdminHammer'
 	$(GO) test -race -count=1 ./internal/obs -run 'TestSLO|TestObjective|TestSpike|TestDebounce|TestTrigger|TestBundle|TestFlight|TestNilFlight|TestSlowQueryEntryFieldSet'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestDiag|TestVersionFlag|TestHealthzCarriesVersion'
+
+# The end-to-end benchmark's own tests (input determinism and digests,
+# answer checks, cache fit, result keys against BENCHMARK.json). perfbench
+# is a separate Go module, so the root `./...` never reaches it. Run the
+# benchmark itself with `python3 perfbench/run.py --workload hot`.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -113,17 +113,7 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 			return nil, err
 		}
 		partSpan.End()
-		res, err := runPipeline(ctx, pt.G, queries, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Queries = append([]int(nil), queries...)
-		res.WorkQueries = append([]int(nil), queries...)
-		res.Fallback = &Fallback{From: "fast-ceps", To: "full-ceps", Reason: why}
-		res.Degraded = &Degradation{Mode: "full_graph_fallback", Reason: why}
-		res.Stages.Partition = unionDur
-		res.Elapsed = time.Since(start)
-		return res, nil
+		return pt.fullGraphFallback(ctx, queries, cfg, why, start, unionDur)
 	}
 
 	partSpan.SetAttr(obs.Int("union_nodes", work.N()), obs.Int("graph_nodes", pt.G.N()),
@@ -186,12 +176,40 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 	if err != nil {
 		return nil, err
 	}
+	// An AND query (k = Q) sends a key path from every query node to each
+	// destination, so its answer is one connected piece — unless the union
+	// joins the query nodes only through detours longer than a key path
+	// may run and EXTRACT strands one of them. Such a union is degenerate.
+	// (Answers with k < Q may be disconnected by design.)
+	if q := len(workQueries); q > 1 && cfg.EffectiveK(q) == q && !res.Subgraph.Connected() {
+		why := "answer disconnected inside the partition union"
+		if pt.NoFallback {
+			return nil, fmt.Errorf("%w: %s", fault.ErrDegeneratePartition, why)
+		}
+		return pt.fullGraphFallback(ctx, queries, cfg, why, start, unionDur)
+	}
 	res.Queries = append([]int(nil), queries...)
 	res.WorkQueries = workQueries
 	res.ToOrig = toOrig
 	res.Stages.Partition = unionDur
 	remapSubgraph(res.Subgraph, toOrig)
 	res.Subgraph.FillInduced(pt.G)
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// fullGraphFallback answers a query the partition union cannot answer by
+// running it on the full graph, recording why in Fallback and Degraded.
+func (pt *Partitioned) fullGraphFallback(ctx context.Context, queries []int, cfg Config, why string, start time.Time, unionDur time.Duration) (*Result, error) {
+	res, err := runPipeline(ctx, pt.G, queries, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Queries = append([]int(nil), queries...)
+	res.WorkQueries = append([]int(nil), queries...)
+	res.Fallback = &Fallback{From: "fast-ceps", To: "full-ceps", Reason: why}
+	res.Degraded = &Degradation{Mode: "full_graph_fallback", Reason: why}
+	res.Stages.Partition = unionDur
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

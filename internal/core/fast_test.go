@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ceps/internal/dblp"
+	"ceps/internal/fault"
 	"ceps/internal/partition"
 )
 
@@ -217,5 +221,49 @@ func TestFastCePSQualityReasonable(t *testing.T) {
 	}
 	if rel < 0.5 {
 		t.Errorf("RelRatio = %v; partitioned quality collapsed", rel)
+	}
+}
+
+// TestFastCePSDisconnectedUnionAnswerFallsBack pins a query whose union
+// connects the three authors only through detours longer than a key path
+// may run: on the union, EXTRACT never reaches author 6139 and returns a
+// subgraph with that query node stranded. Such a union is degenerate, so
+// the answer must come from the full graph (or be refused under
+// NoFallback), and it must be connected.
+func TestFastCePSDisconnectedUnionAnswerFallsBack(t *testing.T) {
+	ds, err := dblp.Generate(dblp.Scale(dblp.DefaultConfig(), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := PrePartition(ds.Graph, 20, partition.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []int{6139, 14724, 15801}
+	if _, _, _, _, why := pt.queryUnion(queries); why != "" {
+		t.Fatalf("the union must pass the up-front checks, got %q", why)
+	}
+	res, err := pt.CePS(queries, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fallback == nil || !strings.Contains(res.Fallback.Reason, "disconnected") {
+		t.Fatalf("Fallback = %+v, want a disconnected-answer fallback", res.Fallback)
+	}
+	if res.Degraded == nil || res.Degraded.Mode != "full_graph_fallback" {
+		t.Fatalf("Degraded = %+v, want full_graph_fallback", res.Degraded)
+	}
+	for _, q := range queries {
+		if !res.Subgraph.Has(q) {
+			t.Fatalf("query %d missing from %v", q, res.Subgraph.Nodes)
+		}
+	}
+	if !res.Subgraph.Connected() {
+		t.Fatalf("fallback answer %v is disconnected", res.Subgraph.Nodes)
+	}
+
+	pt.NoFallback = true
+	if _, err := pt.CePS(queries, DefaultConfig()); !errors.Is(err, fault.ErrDegeneratePartition) {
+		t.Fatalf("NoFallback err = %v, want ErrDegeneratePartition", err)
 	}
 }

@@ -17,10 +17,13 @@
 package extract
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"ceps/internal/fault"
 	"ceps/internal/graph"
@@ -100,7 +103,6 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 	if err := validate(&in); err != nil {
 		return nil, err
 	}
-	n := in.G.N()
 	k := in.K
 	maxLen := in.MaxPathLen
 	if maxLen <= 0 {
@@ -110,7 +112,9 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		maxLen = 1
 	}
 
-	inH := make([]bool, n)
+	sc := getScratch(in)
+	defer putScratch(sc)
+	inH := sc.inH
 	sub := &graph.Subgraph{}
 	addNode := func(u int) bool {
 		if inH[u] {
@@ -124,11 +128,11 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		addNode(qi)
 	}
 
-	excluded := make([]bool, n) // destinations proven unreachable
+	excluded := sc.excluded // destinations proven unreachable
 	newNodes := 0
 	res := &Result{Provenance: make(map[int]Provenance)}
 
-	dp := newPathDP(in.G, n)
+	dp := &sc.dp
 	// Destination events are gated on Recording so untraced extraction
 	// never builds attribute slices.
 	span := obs.SpanFromContext(ctx)
@@ -141,7 +145,8 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		if pd < 0 {
 			break // nothing promising remains
 		}
-		actives := activeSources(in.R, pd, k)
+		actives := activeSources(sc.actives[:0], in.R, pd, k)
+		sc.actives = actives
 		prevNew := newNodes
 		pathsAdded := 0
 		for _, src := range actives {
@@ -156,7 +161,7 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 			if budgetCap > remaining {
 				budgetCap = remaining
 			}
-			path, ok := dp.keyPath(in.R[src], in.Combined, in.Queries[src], pd, inH, budgetCap, in.NoSharing)
+			path, ok := dp.keyPath(&sc.views[src], in.Combined, pd, inH, budgetCap, in.NoSharing)
 			if !ok {
 				continue
 			}
@@ -258,19 +263,19 @@ func pickDestination(combined []float64, inH, excluded []bool) int {
 // activeSources returns the indices (into R) of the k sources with the
 // largest individual score at pd, i.e. the sources q_i with
 // r(i, pd) ≥ r^(k)(i, pd). Ties resolve by source order, so exactly k
-// sources are active (footnote 2 of the paper).
-func activeSources(R [][]float64, pd, k int) []int {
-	idx := make([]int, len(R))
-	for i := range idx {
-		idx[i] = i
+// sources are active (footnote 2 of the paper). The result reuses idx's
+// storage; an insertion sort keeps the order stable without allocating.
+func activeSources(idx []int, R [][]float64, pd, k int) []int {
+	idx = idx[:0]
+	for i := range R {
+		j := len(idx)
+		idx = append(idx, i)
+		for ; j > 0 && R[idx[j-1]][pd] < R[i][pd]; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return R[idx[a]][pd] > R[idx[b]][pd]
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
+	return idx[:min(k, len(idx))]
 }
 
 // dedupePathEdges removes duplicate path edges while keeping first-seen
@@ -288,62 +293,154 @@ func dedupePathEdges(sub *graph.Subgraph) {
 	sub.PathEdges = out
 }
 
-// pathDP holds the reusable scratch buffers for the Table 3 dynamic
-// program, so repeated key-path discoveries do not reallocate.
+// scratch is the working memory of one ExtractCtx call. It is pooled so
+// that a warm query allocates only what its answer keeps (paths,
+// provenance, the subgraph), not buffers sized by the graph.
+type scratch struct {
+	inH, excluded []bool
+	actives       []int
+	views         []downhill // one per source, built on first use
+	dp            pathDP
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch(in Input) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	n := in.G.N()
+	sc.inH = resize(sc.inH, n)
+	clear(sc.inH)
+	sc.excluded = resize(sc.excluded, n)
+	clear(sc.excluded)
+	sc.views = resize(sc.views, len(in.Queries))
+	for i := range sc.views {
+		sc.views[i].reset(in.R[i], in.Queries[i])
+	}
+	sc.dp.g = in.G
+	return sc
+}
+
+// putScratch drops the references into the caller's graph and score rows
+// before pooling, so an idle scratch never pins them.
+func putScratch(sc *scratch) {
+	for i := range sc.views {
+		sc.views[i].ri = nil
+	}
+	sc.dp.g = nil
+	scratchPool.Put(sc)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// downhill is source q_i's "specified downhill" DAG of Table 3 over the
+// nodes scored strictly above floor in r(i, ·): u precedes v iff
+// r(i, u) > r(i, v). The nodes are kept in one topological order — score
+// descending, id ascending — and each node lists its strictly-uphill
+// neighbours as ranks in that order, in its own adjacency order (a CSR).
+// All key-path calls from the source share it; a destination scored at or
+// below floor lowers floor by appending the newly admitted nodes, which
+// all sort after the existing ones, so nothing built before moves.
+type downhill struct {
+	ri    []float64
+	src   int
+	floor float64
+	order []int32 // DAG nodes in topological order
+	rank  []int32 // rank[v] = v's index in order; meaningful for DAG nodes only
+	off   []int32 // uphill ranks of order[k] are up[off[k]:off[k+1]]
+	up    []int32
+}
+
+func (h *downhill) reset(ri []float64, src int) {
+	h.ri, h.src = ri, src
+	h.floor = math.Inf(1)
+	h.order = h.order[:0]
+	h.off = append(h.off[:0], 0)
+	h.up = h.up[:0]
+}
+
+// lower extends the DAG to every node scored strictly above floor.
+func (h *downhill) lower(g *graph.Graph, floor float64) {
+	if floor >= h.floor {
+		return
+	}
+	ri := h.ri
+	start := len(h.order)
+	for v, s := range ri {
+		if s > floor && s <= h.floor {
+			h.order = append(h.order, int32(v))
+		}
+	}
+	h.floor = floor
+	added := h.order[start:]
+	slices.SortFunc(added, func(a, b int32) int {
+		if c := cmp.Compare(ri[b], ri[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	if len(h.rank) < len(ri) {
+		h.rank = make([]int32, len(ri))
+	}
+	for k, v := range added {
+		h.rank[v] = int32(start + k)
+	}
+	// Every strictly-uphill neighbour of an admitted node is scored above
+	// floor too, so its rank is already assigned.
+	for _, v := range added {
+		nbrs, _ := g.Neighbors(int(v))
+		for _, u := range nbrs {
+			if ri[u] > ri[v] {
+				h.up = append(h.up, h.rank[u])
+			}
+		}
+		h.off = append(h.off, int32(len(h.up)))
+	}
+}
+
+// pathDP holds the reusable buffers of the Table 3 dynamic program, so
+// repeated key-path discoveries do not reallocate.
 type pathDP struct {
 	g *graph.Graph
-	// cand[v] is v's index in the candidate ordering, or -1.
-	cand []int
-	// order lists candidate nodes in descending score (topological for the
-	// downhill DAG).
-	order []int
-	stamp []int // generation marks to avoid clearing cand each call
-	gen   int
+	// best[row*width+s] is the largest captured goodness of a downhill
+	// path from the source to the row's node with s new nodes; parent
+	// holds its predecessor state (-1 at the source).
+	best   []float64
+	parent []int32
+	// reach[row] is the smallest s with a finite best, width if none.
+	reach []int32
+	pdUp  []int32 // uphill ranks of the destination
+	anc   []bool  // anc[row]: the row's node is an ancestor of pd
+	stack []int32
 }
 
-func newPathDP(g *graph.Graph, n int) *pathDP {
-	d := &pathDP{g: g, cand: make([]int, n), stamp: make([]int, n)}
-	return d
-}
-
-// keyPath discovers the best downhill path from source src to destination
-// pd (Table 3): among all "specified prefix paths" that start at src,
-// strictly descend r(i, ·), and end at pd, it returns the one maximizing
-// (Σ_{v on path} r(Q, v)) / s where s is the number of nodes not already in
-// H, subject to s ≤ maxNew. The returned path runs source→…→pd. ok is
-// false when pd is unreachable by a downhill path within the budget.
-func (d *pathDP) keyPath(ri, combined []float64, src, pd int, inH []bool, maxNew int, noSharing bool) ([]int, bool) {
+// keyPath discovers the best downhill path from h's source to destination
+// pd (Table 3): among all "specified prefix paths" that start at the
+// source, strictly descend r(i, ·), and end at pd, it returns the one
+// maximizing (Σ_{v on path} r(Q, v)) / s where s is the number of nodes not
+// already in H, subject to s ≤ maxNew. The returned path runs
+// source→…→pd. ok is false when pd is unreachable by a downhill path
+// within the budget.
+//
+// Every predecessor of a node scored at or above r(i, pd) is itself
+// scored strictly above r(i, pd), so the DP runs over the DAG prefix above
+// pd, from the source's rank on (nothing ranked before the source is
+// reachable from it), and then pd — and within that prefix only over
+// pd's ancestors, the only rows a path to pd can use. Rows relax their
+// uphill neighbours in adjacency order with a strict >, so ties resolve
+// as in a DP over the whole candidate set.
+func (d *pathDP) keyPath(h *downhill, combined []float64, pd int, inH []bool, maxNew int, noSharing bool) ([]int, bool) {
+	ri, src := h.ri, h.src
 	scorePd := ri[pd]
 	if ri[src] <= scorePd {
 		return nil, false // source not uphill of destination: no downhill path
 	}
-
-	// Candidate set: every node strictly uphill of pd, plus pd itself.
-	d.gen++
-	d.order = d.order[:0]
-	for v := 0; v < len(ri); v++ {
-		if v == pd || ri[v] > scorePd {
-			d.order = append(d.order, v)
-		}
-	}
-	sort.SliceStable(d.order, func(a, b int) bool {
-		return ri[d.order[a]] > ri[d.order[b]]
-	})
-	for idx, v := range d.order {
-		d.cand[v] = idx
-		d.stamp[v] = d.gen
-	}
-	isCand := func(v int) bool { return d.stamp[v] == d.gen }
-
-	nc := len(d.order)
-	width := maxNew + 1
-	best := make([]float64, nc*width)
-	parent := make([]int32, nc*width) // candidate-index*width+s of predecessor, -1 = none, -2 = unreached
-	for i := range best {
-		best[i] = math.Inf(-1)
-		parent[i] = -2
-	}
-	srcIdx := d.cand[src]
 	srcCost := 0
 	if !inH[src] || noSharing {
 		srcCost = 1 // sources are normally in H already; be safe
@@ -351,45 +448,101 @@ func (d *pathDP) keyPath(ri, combined []float64, src, pd int, inH []bool, maxNew
 	if srcCost > maxNew {
 		return nil, false
 	}
-	if srcCost < width {
-		best[srcIdx*width+srcCost] = combined[src]
-		parent[srcIdx*width+srcCost] = -1
+	h.lower(d.g, scorePd)
+	lo := int(h.rank[src])
+	end := lo + 1 + sort.Search(len(h.order)-lo-1, func(k int) bool {
+		return ri[h.order[lo+1+k]] <= scorePd
+	})
+	d.pdUp = d.pdUp[:0]
+	nbrs, _ := d.g.Neighbors(pd)
+	for _, u := range nbrs {
+		if ri[u] > scorePd {
+			d.pdUp = append(d.pdUp, h.rank[u])
+		}
 	}
 
-	// Process in descending-score order; every edge we relax goes from a
-	// strictly higher-scored node to the current one, so all predecessor
-	// states are final (Table 3's "fill the extracted matrix C in
-	// topological order").
-	for oi, v := range d.order {
-		if v == src {
-			continue
+	// Row r holds rank lo+r; the last row holds pd.
+	rows := end - lo + 1
+	width := maxNew + 1
+	d.best = resize(d.best, rows*width)
+	d.parent = resize(d.parent, rows*width)
+	d.reach = resize(d.reach, rows)
+	best, parent, reach := d.best, d.parent, d.reach
+
+	uphill := func(row int) []int32 {
+		if k := lo + row; k < end {
+			return h.up[h.off[k]:h.off[k+1]]
+		}
+		return d.pdUp
+	}
+
+	// Only pd's ancestors below the source can lie on a key path; mark
+	// them by walking the uphill lists back from pd. An ancestor's uphill
+	// neighbours are ancestors too, so no other row is ever read.
+	d.anc = resize(d.anc, rows)
+	clear(d.anc)
+	anc := d.anc
+	stack := append(d.stack[:0], int32(rows-1))
+	for len(stack) > 0 {
+		row := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		for _, ur := range uphill(row) {
+			if r := int(ur) - lo; r > 0 && !anc[r] {
+				anc[r] = true
+				stack = append(stack, int32(r))
+			}
+		}
+	}
+	d.stack = stack
+	for s := range width {
+		best[s] = math.Inf(-1)
+	}
+	best[srcCost] = combined[src]
+	parent[srcCost] = -1
+	reach[0] = int32(srcCost)
+
+	// Rows run in topological order, so every predecessor state is final
+	// (Table 3's "fill the extracted matrix C in topological order").
+	for row := 1; row < rows; row++ {
+		v := pd
+		if k := lo + row; k < end {
+			if !anc[row] {
+				continue
+			}
+			v = int(h.order[k])
 		}
 		cost := 1
 		if inH[v] && !noSharing {
 			cost = 0
 		}
-		nbrs, _ := d.g.Neighbors(v)
-		vBase := oi * width
-		for _, u := range nbrs {
-			if !isCand(u) || ri[u] <= ri[v] {
-				continue // not a specified downhill edge u → v
+		gain := combined[v]
+		vBase := row * width
+		bv := best[vBase : vBase+width]
+		for s := range bv {
+			bv[s] = math.Inf(-1)
+		}
+		minS := width
+		for _, ur := range uphill(row) {
+			u := int(ur) - lo
+			if u < 0 || int(reach[u]) == width {
+				continue // ranked above the source, or unreached
 			}
-			uBase := d.cand[u] * width
-			for s := cost; s < width; s++ {
-				prev := best[uBase+s-cost]
-				if math.IsInf(prev, -1) {
-					continue
-				}
-				if cand := prev + combined[v]; cand > best[vBase+s] {
-					best[vBase+s] = cand
+			uBase := u * width
+			// A −∞ prev needs no test: −∞ + gain is −∞ or NaN, and neither
+			// compares greater than anything.
+			for s := cost + int(reach[u]); s < width; s++ {
+				if cand := best[uBase+s-cost] + gain; cand > bv[s] {
+					bv[s] = cand
 					parent[vBase+s] = int32(uBase + s - cost)
+					minS = min(minS, s)
 				}
 			}
 		}
+		reach[row] = int32(minS)
 	}
 
 	// Output the path maximizing C_s(i, pd)/s with s ≥ 1 (Table 3 step 3).
-	pdBase := d.cand[pd] * width
+	pdBase := (rows - 1) * width
 	bestS, bestRatio := -1, math.Inf(-1)
 	for s := 1; s < width; s++ {
 		if math.IsInf(best[pdBase+s], -1) {
@@ -402,15 +555,17 @@ func (d *pathDP) keyPath(ri, combined []float64, src, pd int, inH []bool, maxNew
 	if bestS < 0 {
 		return nil, false
 	}
-	// Reconstruct pd → src, then reverse.
-	var rev []int
+	// Walk pd → source to size the path, then fill it source-first.
+	hops := 0
+	for state := int32(pdBase + bestS); state != -1; state = parent[state] {
+		hops++
+	}
+	path := make([]int, hops)
 	state := int32(pdBase + bestS)
-	for state != -1 {
-		rev = append(rev, d.order[int(state)/width])
+	path[hops-1] = pd
+	for i := hops - 2; i >= 0; i-- {
 		state = parent[state]
+		path[i] = int(h.order[lo+int(state)/width])
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, true
+	return path, true
 }

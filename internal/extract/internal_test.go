@@ -33,17 +33,17 @@ func TestActiveSources(t *testing.T) {
 		{0, 0, 0.3}, // source 2: r(2, pd) = 0.3
 	}
 	pd := 2
-	if got := activeSources(R, pd, 1); !reflect.DeepEqual(got, []int{1}) {
+	if got := activeSources(nil, R, pd, 1); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("k=1 actives = %v, want [1]", got)
 	}
-	if got := activeSources(R, pd, 2); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := activeSources(nil, R, pd, 2); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("k=2 actives = %v, want [1 2]", got)
 	}
-	if got := activeSources(R, pd, 3); !reflect.DeepEqual(got, []int{1, 2, 0}) {
+	if got := activeSources(nil, R, pd, 3); !reflect.DeepEqual(got, []int{1, 2, 0}) {
 		t.Fatalf("k=3 actives = %v, want [1 2 0]", got)
 	}
 	// k beyond Q clamps.
-	if got := activeSources(R, pd, 9); len(got) != 3 {
+	if got := activeSources(nil, R, pd, 9); len(got) != 3 {
 		t.Fatalf("clamped actives = %v", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestActiveSourcesTieBreaksByOrder(t *testing.T) {
 		{0.5},
 	}
 	// All tied: stable sort keeps source order, exactly k actives.
-	if got := activeSources(R, 0, 2); !reflect.DeepEqual(got, []int{0, 1}) {
+	if got := activeSources(nil, R, 0, 2); !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Fatalf("tied actives = %v, want [0 1]", got)
 	}
 }

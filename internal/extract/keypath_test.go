@@ -9,6 +9,13 @@ import (
 
 // White-box tests of the Table 3 key-path dynamic program.
 
+// newDownhill starts source src's downhill view over score row ri.
+func newDownhill(ri []float64, src int) *downhill {
+	h := &downhill{}
+	h.reset(ri, src)
+	return h
+}
+
 func TestKeyPathStraightLine(t *testing.T) {
 	// 0-1-2-3 with strictly decreasing source scores from node 0: the only
 	// downhill path from 0 to 3 is the line itself.
@@ -21,8 +28,8 @@ func TestKeyPathStraightLine(t *testing.T) {
 	combined := []float64{0.5, 0.3, 0.2, 0.1}
 	inH := []bool{true, false, false, false}
 
-	dp := newPathDP(g, 4)
-	path, ok := dp.keyPath(ri, combined, 0, 3, inH, 3, false)
+	dp := &pathDP{g: g}
+	path, ok := dp.keyPath(newDownhill(ri, 0), combined, 3, inH, 3, false)
 	if !ok {
 		t.Fatal("path not found")
 	}
@@ -48,13 +55,14 @@ func TestKeyPathRespectsLengthCap(t *testing.T) {
 	ri := []float64{0.5, 0.3, 0.2, 0.1}
 	combined := ri
 	inH := []bool{true, false, false, false}
-	dp := newPathDP(g, 4)
-	if _, ok := dp.keyPath(ri, combined, 0, 3, inH, 2, false); ok {
+	dp := &pathDP{g: g}
+	h := newDownhill(ri, 0)
+	if _, ok := dp.keyPath(h, combined, 3, inH, 2, false); ok {
 		t.Fatal("path should be blocked by the new-node cap")
 	}
 	// With the middle nodes already in H the path costs only 1 new node.
 	inH = []bool{true, true, true, false}
-	path, ok := dp.keyPath(ri, combined, 0, 3, inH, 1, false)
+	path, ok := dp.keyPath(h, combined, 3, inH, 1, false)
 	if !ok {
 		t.Fatal("path through existing nodes should fit in cap 1")
 	}
@@ -76,8 +84,8 @@ func TestKeyPathPrefersSharedNodes(t *testing.T) {
 	ri := []float64{0.5, 0.3, 0.3, 0.1}
 	combined := []float64{0.5, 0.2, 0.2, 0.1}
 	inH := []bool{true, true, false, false}
-	dp := newPathDP(g, 4)
-	path, ok := dp.keyPath(ri, combined, 0, 3, inH, 3, false)
+	dp := &pathDP{g: g}
+	path, ok := dp.keyPath(newDownhill(ri, 0), combined, 3, inH, 3, false)
 	if !ok {
 		t.Fatal("path not found")
 	}
@@ -99,8 +107,8 @@ func TestKeyPathStrictlyDownhill(t *testing.T) {
 	ri := []float64{0.9, 0.5, 0.4, 0.3, 0.1, 0.05} // node 5 below pd: unusable
 	combined := []float64{0.9, 0.5, 0.4, 0.3, 0.1, 0.05}
 	inH := []bool{true, false, false, false, false, false}
-	dp := newPathDP(g, 6)
-	path, ok := dp.keyPath(ri, combined, 0, 4, inH, 5, false)
+	dp := &pathDP{g: g}
+	path, ok := dp.keyPath(newDownhill(ri, 0), combined, 4, inH, 5, false)
 	if !ok {
 		t.Fatal("path not found")
 	}
@@ -120,9 +128,9 @@ func TestKeyPathSourceNotUphill(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 1)
 	g := b.MustBuild()
-	dp := newPathDP(g, 2)
+	dp := &pathDP{g: g}
 	// Source score equals destination score: no strictly downhill path.
-	if _, ok := dp.keyPath([]float64{0.5, 0.5}, []float64{1, 1}, 0, 1, []bool{true, false}, 3, false); ok {
+	if _, ok := dp.keyPath(newDownhill([]float64{0.5, 0.5}, 0), []float64{1, 1}, 1, []bool{true, false}, 3, false); ok {
 		t.Fatal("equal-score source should have no downhill path")
 	}
 }
@@ -141,8 +149,8 @@ func TestKeyPathPicksDenserGoodness(t *testing.T) {
 	// combined goodness: node 1 is extremely valuable.
 	combined := []float64{0.2, 10, 0.1, 0.2}
 	inH := []bool{true, false, false, false}
-	dp := newPathDP(g, 4)
-	path, ok := dp.keyPath(ri, combined, 0, 3, inH, 3, false)
+	dp := &pathDP{g: g}
+	path, ok := dp.keyPath(newDownhill(ri, 0), combined, 3, inH, 3, false)
 	if !ok {
 		t.Fatal("path not found")
 	}
@@ -153,21 +161,24 @@ func TestKeyPathPicksDenserGoodness(t *testing.T) {
 }
 
 func TestKeyPathReusableScratch(t *testing.T) {
-	// The generation-stamped scratch buffers must not leak state between
+	// The reused DP buffers and downhill view must not leak state between
 	// calls on different candidate sets.
 	b := graph.NewBuilder(5)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(3, 4, 1)
 	g := b.MustBuild()
-	dp := newPathDP(g, 5)
+	dp := &pathDP{g: g}
 	ri1 := []float64{0.9, 0.5, 0.1, 0, 0}
-	if _, ok := dp.keyPath(ri1, ri1, 0, 2, []bool{true, false, false, false, false}, 3, false); !ok {
+	h := newDownhill(ri1, 0)
+	if _, ok := dp.keyPath(h, ri1, 2, []bool{true, false, false, false, false}, 3, false); !ok {
 		t.Fatal("first call failed")
 	}
-	// Second call in the other component; nodes 0–2 must not be candidates.
+	// Second call in the other component, through the same view reset to
+	// a new row; nodes 0–2 must not be candidates.
 	ri2 := []float64{0, 0, 0, 0.9, 0.3}
-	path, ok := dp.keyPath(ri2, ri2, 3, 4, []bool{false, false, false, true, false}, 3, false)
+	h.reset(ri2, 3)
+	path, ok := dp.keyPath(h, ri2, 4, []bool{false, false, false, true, false}, 3, false)
 	if !ok {
 		t.Fatal("second call failed")
 	}
@@ -187,8 +198,8 @@ func TestKeyPathRatioHandlesInfinity(t *testing.T) {
 	g := b.MustBuild()
 	ri := []float64{0.9, 0.5, 0.1}
 	combined := []float64{0, 0, 0}
-	dp := newPathDP(g, 3)
-	path, ok := dp.keyPath(ri, combined, 0, 2, []bool{true, false, false}, 3, false)
+	dp := &pathDP{g: g}
+	path, ok := dp.keyPath(newDownhill(ri, 0), combined, 2, []bool{true, false, false}, 3, false)
 	if !ok {
 		t.Fatal("zero-goodness path should still be found")
 	}

@@ -105,3 +105,34 @@ func (s *Subgraph) FillInduced(g *Graph) {
 		return a.V < b.V
 	})
 }
+
+// Connected reports whether InducedEdges join all of Nodes into one
+// component. An empty subgraph counts as connected.
+func (s *Subgraph) Connected() bool {
+	if len(s.Nodes) == 0 {
+		return true
+	}
+	adj := make(map[int][]int, len(s.Nodes))
+	for _, e := range s.InducedEdges {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	seen := map[int]bool{s.Nodes[0]: true}
+	stack := []int{s.Nodes[0]}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range adj[u] {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	for _, u := range s.Nodes {
+		if !seen[u] {
+			return false
+		}
+	}
+	return true
+}

@@ -101,6 +101,34 @@ func TestSubgraphFillInduced(t *testing.T) {
 	}
 }
 
+func TestSubgraphConnected(t *testing.T) {
+	// 0-1-2 path plus an edge 3-4: {0,1,2} is connected, {0,2} is not
+	// (its only link runs through 1), and adding 3 strands it.
+	b := NewBuilder(5)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(3, 4, 1)
+	g := b.MustBuild()
+	for _, c := range []struct {
+		nodes []int
+		want  bool
+	}{
+		{nil, true},
+		{[]int{3}, true},
+		{[]int{0, 1, 2}, true},
+		{[]int{2, 0, 1}, true},
+		{[]int{0, 2}, false},
+		{[]int{0, 1, 2, 3}, false},
+		{[]int{3, 4}, true},
+	} {
+		s := &Subgraph{Nodes: c.nodes}
+		s.FillInduced(g)
+		if got := s.Connected(); got != c.want {
+			t.Errorf("Connected(%v) = %v, want %v", c.nodes, got, c.want)
+		}
+	}
+}
+
 func TestSubgraphWriteDOT(t *testing.T) {
 	b := NewBuilder(3)
 	b.SetLabel(0, "Rakesh Agrawal")

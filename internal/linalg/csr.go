@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -33,29 +35,44 @@ func NewCSR(rows, cols int, entries []Triple) (*CSR, error) {
 			return nil, fmt.Errorf("linalg: entry (%d,%d) out of %dx%d", e.Row, e.Col, rows, cols)
 		}
 	}
-	sorted := make([]Triple, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
-	for i := 0; i < len(sorted); {
-		j := i
-		val := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			val += sorted[j].Val
-			j++
-		}
-		m.colIdx = append(m.colIdx, sorted[i].Col)
-		m.vals = append(m.vals, val)
-		m.rowPtr[sorted[i].Row+1]++
-		i = j
+	// Bucket the entries by row (a counting sort, stable), then order each
+	// row by column; rows arriving column-ordered, as a graph's
+	// normalization emits them, need no sort at all. Duplicates are summed
+	// in input order.
+	start := make([]int, rows+1)
+	for _, e := range entries {
+		start[e.Row+1]++
 	}
 	for r := 0; r < rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
+		start[r+1] += start[r]
+	}
+	sorted := make([]Triple, len(entries))
+	next := append([]int(nil), start[:rows]...)
+	for _, e := range entries {
+		sorted[next[e.Row]] = e
+		next[e.Row]++
+	}
+	byCol := func(a, b Triple) int { return cmp.Compare(a.Col, b.Col) }
+	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
+	m.colIdx = make([]int, 0, len(entries))
+	m.vals = make([]float64, 0, len(entries))
+	for r := 0; r < rows; r++ {
+		row := sorted[start[r]:start[r+1]]
+		if !slices.IsSortedFunc(row, byCol) {
+			slices.SortStableFunc(row, byCol)
+		}
+		for i := 0; i < len(row); {
+			j := i
+			val := 0.0
+			for j < len(row) && row[j].Col == row[i].Col {
+				val += row[j].Val
+				j++
+			}
+			m.colIdx = append(m.colIdx, row[i].Col)
+			m.vals = append(m.vals, val)
+			i = j
+		}
+		m.rowPtr[r+1] = len(m.vals)
 	}
 	return m, nil
 }
