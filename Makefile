@@ -1,14 +1,19 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs. It must stay
-# green — vet, build, the full test suite under the race detector
+# green — gofmt, vet, build, the full test suite under the race detector
 # (including the cache-purge race hammer), and a short fuzz smoke over the
 # text parsers.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
+.PHONY: check fmt vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
 
-check: vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test
+check: fmt vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke perfbench-test
+
+# Fails when any Go file in the tree is not gofmt-formatted (gofmt -l
+# lists it).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

@@ -109,9 +109,6 @@ type (
 	// CacheStats is a snapshot of the Engine's score-cache counters
 	// (hits, misses, evictions, byte budget).
 	CacheStats = rwr.CacheStats
-	// BlockMode selects blocked vs per-query execution of Step 1 (see
-	// WithBlockedSolves / Config.Blocked).
-	BlockMode = rwr.BlockMode
 	// CoalesceOptions bounds the cross-request solve coalescer
 	// (WithCoalescing): forming latency budget and panel width cap.
 	CoalesceOptions = rwr.CoalesceOptions
@@ -253,18 +250,6 @@ const (
 	NormDegreePenalized = rwr.NormDegreePenalized
 	// NormSymmetric is the symmetric manifold-ranking variant (Eq. 20).
 	NormSymmetric = rwr.NormSymmetric
-)
-
-// Blocked-solve modes (Config.Blocked / WithBlockedSolves). Blocked and
-// scalar execution produce bit-identical score vectors; the mode only
-// selects the kernel shape.
-const (
-	// BlockAuto fuses the Q walks into one blocked sweep whenever Q ≥ 2.
-	BlockAuto = rwr.BlockAuto
-	// BlockNever forces per-query scalar solves.
-	BlockNever = rwr.BlockNever
-	// BlockAlways routes even single queries through the panel kernel.
-	BlockAlways = rwr.BlockAlways
 )
 
 // NewBuilder returns a graph builder pre-sized for n nodes.

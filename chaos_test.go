@@ -132,6 +132,33 @@ func TestChaosInjectionPoints(t *testing.T) {
 	})
 }
 
+// TestChaosFastFallbackHonorsPoolBound pins the degenerate-union fallback
+// of Fast CePS under the engine's solve-pool bound: with the union forced
+// degenerate and the pool wedged, the full-graph re-solve must wait for a
+// slot like every other solve and shed as pool_wait when the deadline
+// fires, instead of answering outside the worker bound.
+func TestChaosFastFallbackHonorsPoolBound(t *testing.T) {
+	ds := smallDataset(t)
+	q := []int{ds.Repository[0][0], ds.Repository[1][0]}
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithWorkers(2))
+	if _, err := eng.EnableFastMode(6, ceps.PartitionOptions{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	inj := arm(t, fault.Injection{Point: fault.InjectPoolStarve}, fault.Injection{Point: fault.InjectPartitionDegenerate})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := eng.Do(ctx, q)
+	if err == nil {
+		t.Fatalf("fallback answered outside the pool bound (degraded = %v)", res.Degraded)
+	}
+	if !errors.Is(err, ceps.ErrOverloaded) || ceps.ShedReason(err) != "pool_wait" {
+		t.Fatalf("err = %v (shed reason %q), want an ErrOverloaded pool_wait shed", err, ceps.ShedReason(err))
+	}
+	if inj.Fired(fault.InjectPartitionDegenerate) == 0 || inj.Fired(fault.InjectPoolStarve) == 0 {
+		t.Fatal("the fallback never reached the starved pool")
+	}
+}
+
 // TestChaosInjectionPointListComplete pins the harness to its six points:
 // adding an injection point without wiring it into the chaos suite (or
 // removing a hook site) fails here.

@@ -31,9 +31,10 @@
 // Retry-After), and a circuit breaker that serves relaxed-tolerance
 // degraded answers (or fails fast with 503 under -no-degrade);
 // -max-inflight and -max-queue size it. See README.md "Resilience".
-// -coalesce merges concurrent cache-miss solves into blocked panels
-// (one multi-source solve instead of Q scalar ones) at the price of up
-// to ~1ms of added latency per miss; answers are bit-identical.
+// -coalesce merges concurrent queries' cache-miss solves into shared
+// blocked panels (one multi-source solve instead of one per query) at the
+// price of up to ~1ms of added latency per miss; answers are
+// bit-identical.
 // -artifacts DIR mmaps a cepspre-built precompute directory so cold
 // queries over precomputed partition unions are answered by one row read
 // instead of a power iteration (see the cepspre command).

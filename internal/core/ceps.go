@@ -93,17 +93,17 @@ type StageTimings struct {
 	Extract time.Duration
 	// CacheHits and CacheMisses count this query's sources served from the
 	// shared score cache (or a joined in-flight solve) versus solved
-	// fresh. Both are zero when the query ran without a serving layer.
+	// fresh. Without a cache every source is a miss.
 	CacheHits, CacheMisses int
 	// ArtifactHits counts the cache misses (it is a subset of CacheMisses)
 	// the persisted precompute tier answered with a row read instead of an
 	// iterative solve. Zero when no artifact tier is attached.
 	ArtifactHits int
 	// SolveKernel names the Step 1 execution strategy: "blocked" (one
-	// fused SpMM sweep advancing all Q walks), "scalar" (per-query power
-	// iterations), or "artifact" (every resolved source came from the
-	// precompute tier — no iterative solve ran). Empty when Step 1 was
-	// skipped entirely.
+	// fused SpMM sweep advancing the query set's walks as one panel),
+	// "artifact" (every resolved source came from the precompute tier — no
+	// iterative solve ran), or "exact" (ReplaceSubteam's dense pre-solved
+	// inverse). Empty when Step 1 was skipped entirely.
 	SolveKernel string
 	// SolveSweeps is the total number of power-iteration sweeps across
 	// the query set (the Q·m of the paper's Step 1 cost model, or less
@@ -192,7 +192,7 @@ func CePSCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config) (*R
 		return nil, err
 	}
 	start := time.Now()
-	res, err := runPipeline(ctx, g, queries, cfg)
+	res, err := runPipeline(ctx, g, queries, cfg, Serving{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -202,17 +202,18 @@ func CePSCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config) (*R
 	return res, nil
 }
 
-// runPipeline executes steps 1–3 on the given (work) graph, honoring ctx.
-// Solver construction (the O(M) matrix normalization) counts toward the
-// Solve stage — it is Step 1 work the paper's response time includes.
-func runPipeline(ctx context.Context, g *graph.Graph, queries []int, cfg Config) (*Result, error) {
+// runPipeline executes steps 1–3 on the given (work) graph, honoring ctx,
+// with Step 1 resolved through sv (cache key space space). Solver
+// construction (the O(M) matrix normalization) counts toward the Solve
+// stage — it is Step 1 work the paper's response time includes.
+func runPipeline(ctx context.Context, g *graph.Graph, queries []int, cfg Config, sv Serving, space uint64) (*Result, error) {
 	buildStart := time.Now()
 	solver, err := rwr.NewSolver(g, cfg.RWR)
 	if err != nil {
 		return nil, err
 	}
 	buildDur := time.Since(buildStart)
-	res, err := runPipelineWith(ctx, solver, g, queries, cfg)
+	res, err := runPipelineWith(ctx, solver, g, queries, cfg, sv, space)
 	if err != nil {
 		return nil, err
 	}
@@ -223,48 +224,20 @@ func runPipeline(ctx context.Context, g *graph.Graph, queries []int, cfg Config)
 // runPipelineWith executes steps 1–3 with an already-built solver (the
 // Runner's cached-matrix path and the plain path share everything past
 // solver construction).
-func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config) (*Result, error) {
-	var (
-		R     [][]float64
-		diags []rwr.Diagnostics
-		err   error
-	)
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	solveSpan.SetAttr(obs.Str("kernel", cfg.solveKernel(len(queries))),
-		obs.Int("queries", len(queries)), obs.Int("nodes", g.N()))
-	solveStart := time.Now()
-	switch {
-	case cfg.Blocked.Use(len(queries)):
-		R, diags, err = solver.ScoresSetBlockedCtx(solveCtx, queries, blockedWorkers(cfg.Workers))
-	case cfg.Workers == 0 || cfg.Workers == 1:
-		R, diags, err = solver.ScoresSetCtx(solveCtx, queries)
-	case cfg.Workers < 0:
-		R, diags, err = solver.ScoresSetParallelCtx(solveCtx, queries, 0)
-	default:
-		R, diags, err = solver.ScoresSetParallelCtx(solveCtx, queries, cfg.Workers)
-	}
-	solveDur := time.Since(solveStart)
-	if err != nil {
-		solveSpan.SetError(err)
-		solveSpan.End()
-		return nil, err
-	}
-	solveSpan.SetAttr(obs.Int("sweeps", sumSweeps(diags)))
-	solveSpan.End()
-	res, err := assemblePipeline(ctx, solver, g, queries, cfg, R, diags)
+func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config, sv Serving, space uint64) (*Result, error) {
+	R, diags, st, err := solveStep1(ctx, solver, queries, cfg, sv, space)
 	if err != nil {
 		return nil, err
 	}
-	res.Stages.Solve = solveDur
-	res.Stages.SolveKernel = cfg.solveKernel(len(queries))
-	return res, nil
+	return assemblePipeline(ctx, solver, g, queries, cfg, R, diags, st)
 }
 
 // assemblePipeline executes steps 2–3 (combination + EXTRACT) over an
 // already-computed score matrix. It is the join point of the cached and
 // uncached score paths: everything downstream of Step 1 is shared, which
-// is what makes the two paths bit-identical by construction.
-func assemblePipeline(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config, R [][]float64, diags []rwr.Diagnostics) (*Result, error) {
+// is what makes the two paths bit-identical by construction. st carries
+// the Step 1 stage fields; Combine and Extract are filled in here.
+func assemblePipeline(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config, R [][]float64, diags []rwr.Diagnostics, st StageTimings) (*Result, error) {
 	_, combineSpan := obs.StartSpan(ctx, "combine")
 	combineSpan.SetAttr(obs.Int("queries", len(queries)), obs.Int("nodes", g.N()))
 	combineStart := time.Now()
@@ -297,7 +270,7 @@ func assemblePipeline(ctx context.Context, solver *rwr.Solver, g *graph.Graph, q
 	extractSpan.SetAttr(obs.Int("destinations", len(ext.Destinations)),
 		obs.Int("paths", ext.PathsFound), obs.Int("subgraph_nodes", len(ext.Subgraph.Nodes)))
 	extractSpan.End()
-	sweeps := sumSweeps(diags)
+	st.Combine, st.Extract = combineDur, time.Since(extractStart)
 	return &Result{
 		Subgraph:       ext.Subgraph,
 		WorkGraph:      g,
@@ -307,7 +280,7 @@ func assemblePipeline(ctx context.Context, solver *rwr.Solver, g *graph.Graph, q
 		Combiner:       comb,
 		Extraction:     ext,
 		RWRDiagnostics: diags,
-		Stages:         StageTimings{Combine: combineDur, Extract: time.Since(extractStart), SolveSweeps: sweeps},
+		Stages:         st,
 	}, nil
 }
 

@@ -40,25 +40,16 @@ type Config struct {
 	// ceil(Budget / K) (§7 "Parameter Setting").
 	MaxPathLen int
 
-	// Workers sets how many goroutines compute the Q individual score
-	// vectors of Step 1 (they are independent random walks): 0 or 1 is
-	// sequential, > 1 parallel, negative uses GOMAXPROCS. When the blocked
-	// kernel is in use (see Blocked), Workers instead bounds the
-	// *intra-sweep* row-parallelism of the fused multiply — same knob, same
-	// meaning ("how many goroutines may Step 1 use"), different axis.
+	// Workers sets how many goroutines the Step 1 panel solve may use: the
+	// blocked kernel partitions each fused sweep's rows across them. 0 or 1
+	// is serial, > 1 uses that many row workers, negative uses GOMAXPROCS.
+	// The score vectors are bit-identical for every setting.
 	Workers int
-
-	// Blocked selects blocked vs per-query execution of Step 1 for
-	// multi-query sets (rwr.BlockAuto / BlockNever / BlockAlways). The two
-	// strategies are bit-identical per score vector; the knob only changes
-	// how the sweeps are scheduled, so flipping it never invalidates
-	// caches. The default (BlockAuto) fuses whenever Q ≥ 2.
-	Blocked rwr.BlockMode
 
 	// NoCoalesce opts this query out of the engine's cross-request solve
 	// coalescer (when one is attached): its cache misses solve directly
 	// instead of joining a shared panel. Coalescing never changes answers
-	// (panel solves are bit-identical), so like Blocked this is a pure
+	// (panel solves are bit-identical), so like Workers this is a pure
 	// scheduling knob and never part of a cache key.
 	NoCoalesce bool
 }
@@ -83,52 +74,7 @@ func (c Config) Validate() error {
 	if c.MaxPathLen < 0 {
 		return fmt.Errorf("%w: max path length %d must be non-negative", fault.ErrBadConfig, c.MaxPathLen)
 	}
-	if !c.Blocked.Valid() {
-		return fmt.Errorf("%w: unknown blocked-solve mode %v", fault.ErrBadConfig, c.Blocked)
-	}
 	return nil
-}
-
-// blockedWorkers maps cfg.Workers onto the blocked kernel's intra-sweep
-// worker count: sequential settings (0 or 1) stay serial, negative means
-// GOMAXPROCS (the kernel's 0), and positive counts carry over.
-func blockedWorkers(w int) int {
-	switch {
-	case w < 0:
-		return 0
-	case w == 0:
-		return 1
-	default:
-		return w
-	}
-}
-
-// serveOptions derives the serving-layer execution options from the
-// pipeline configuration.
-func (c Config) serveOptions() rwr.ServeOptions {
-	return rwr.ServeOptions{Blocked: c.Blocked, Workers: blockedWorkers(c.Workers)}
-}
-
-// solveKernel names the Step 1 kernel the configuration selects for a
-// query set of size q — the value reported in StageTimings.SolveKernel and
-// counted by the engine's kernel metrics.
-func (c Config) solveKernel(q int) string {
-	if c.Blocked.Use(q) {
-		return "blocked"
-	}
-	return "scalar"
-}
-
-// solveKernelWithArtifacts overrides the configured kernel name with
-// "artifact" when the precompute tier served every source this call had to
-// resolve (every cache miss). Mixed resolutions keep the configured name —
-// the iterative kernel did run — and all-cache-hit calls keep it too, for
-// continuity with pre-artifact metrics.
-func solveKernelWithArtifacts(kernel string, stats rwr.ServeStats) string {
-	if stats.ArtifactHits > 0 && stats.ArtifactHits == stats.Misses {
-		return "artifact"
-	}
-	return kernel
 }
 
 // EffectiveK resolves the K_softAND coefficient for a query set of size q:

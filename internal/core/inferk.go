@@ -56,7 +56,7 @@ func InferKCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config, t
 	if err != nil {
 		return 0, nil, err
 	}
-	R, _, err := solver.ScoresSetCtx(ctx, queries)
+	R, _, _, err := solveStep1(ctx, solver, queries, cfg, Serving{}, 0)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -77,7 +77,7 @@ func (r *Runner) InferKCtx(ctx context.Context, queries []int, cfg Config, tau f
 	if len(queries) < 2 {
 		return 0, nil, fmt.Errorf("%w: inferring k needs at least 2 queries, got %d", fault.ErrBadQuery, len(queries))
 	}
-	R, _, _, err := r.scoresSet(ctx, queries, cfg)
+	R, _, _, err := solveStep1(ctx, r.solver, queries, cfg, r.sv, r.space)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -21,7 +21,7 @@ import (
 //
 //   - RWR proximity: the mean random-walk-with-restart score from c to the
 //     remaining members, r(c, m). All candidates solve as ONE blocked
-//     multi-source panel through the same scoresSet funnel every other
+//     multi-source panel through the same Step 1 funnel every other
 //     query type uses, so the vectors ride the score cache, the bounded
 //     solve pool, and (when enabled) the cross-request coalescer — and the
 //     answers are bit-identical with those layers on or off.
@@ -451,7 +451,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	start := time.Now()
 
-	poolCtx, poolSpan := obs.StartSpan(ctx, "replace_pool")
+	_, poolSpan := obs.StartSpan(ctx, "replace_pool")
 	poolStart := time.Now()
 	pool, strategy, err := buildReplacePool(r.g, spec, remaining)
 	poolDur := time.Since(poolStart)
@@ -462,42 +462,21 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	poolSpan.SetAttr(obs.Str("strategy", strategy.String()), obs.Int("candidates", len(pool)))
 	poolSpan.End()
-	_ = poolCtx
 
 	// Step 1: one blocked panel over the candidate batch — candidates are
 	// the walk sources, so each cached vector is reusable by any later
 	// query that walks from the same node.
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	kernel := cfg.solveKernel(len(pool))
+	var R [][]float64
+	var st StageTimings
 	if spec.Exact {
-		kernel = "exact"
-	}
-	solveSpan.SetAttr(obs.Str("kernel", kernel),
-		obs.Int("queries", len(pool)), obs.Int("nodes", r.g.N()))
-	solveStart := time.Now()
-	var (
-		R     [][]float64
-		diags []rwr.Diagnostics
-		stats rwr.ServeStats
-	)
-	if spec.Exact {
-		R, err = r.exactScoresSet(pool)
+		R, st, err = r.exactStep1(ctx, pool)
 	} else {
-		R, diags, stats, err = r.scoresSet(solveCtx, pool, cfg)
+		R, _, st, err = solveStep1(ctx, r.solver, pool, cfg, r.sv, r.space)
 	}
-	solveDur := time.Since(solveStart)
 	if err != nil {
-		solveSpan.SetError(err)
-		solveSpan.End()
 		return nil, err
 	}
-	solveSpan.SetAttr(obs.Int("sweeps", sumSweeps(diags)),
-		obs.Int("cache_hits", stats.Hits), obs.Int("cache_misses", stats.Misses),
-		obs.Int("artifact_hits", stats.ArtifactHits))
-	solveSpan.End()
-	if !spec.Exact {
-		kernel = solveKernelWithArtifacts(kernel, stats)
-	}
+	st.Partition = poolDur
 
 	// Step 2: blend the two kernels and rank.
 	_, scoreSpan := obs.StartSpan(ctx, "replace_score")
@@ -550,6 +529,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	scoreSpan.SetAttr(obs.Int("ranked", len(reps)))
 	scoreSpan.End()
+	st.Combine = time.Since(scoreStart)
 
 	return &ReplaceResult{
 		Replacements: reps,
@@ -559,18 +539,19 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		PoolStrategy: strategy.String(),
 		PoolSize:     len(pool),
 		Exact:        spec.Exact,
-		Stages: StageTimings{
-			Partition:          poolDur,
-			Solve:              solveDur,
-			Combine:            time.Since(scoreStart),
-			CacheHits:          stats.Hits,
-			CacheMisses:        stats.Misses,
-			ArtifactHits:       stats.ArtifactHits,
-			SolveKernel:        kernel,
-			SolveSweeps:        sumSweeps(diags),
-			CoalescePanelWidth: stats.CoalescedWidth,
-			CoalesceWait:       stats.CoalesceWait,
-		},
-		Elapsed: time.Since(start),
+		Stages:       st,
+		Elapsed:      time.Since(start),
 	}, nil
+}
+
+// exactStep1 is ReplaceSubteam's Step 1 for Exact specs: the candidate
+// panel read from the dense pre-solved inverse under its own "solve" span.
+func (r *Runner) exactStep1(ctx context.Context, pool []int) ([][]float64, StageTimings, error) {
+	_, span := obs.StartSpan(ctx, "solve")
+	defer span.End()
+	span.SetAttr(obs.Str("kernel", "exact"), obs.Int("queries", len(pool)), obs.Int("nodes", r.g.N()))
+	start := time.Now()
+	R, err := r.exactScoresSet(pool)
+	span.SetError(err)
+	return R, StageTimings{Solve: time.Since(start), SolveKernel: "exact"}, err
 }

@@ -37,7 +37,7 @@ func TopCenterPiecesCtx(ctx context.Context, g *graph.Graph, queries []int, cfg 
 	if err != nil {
 		return nil, err
 	}
-	R, _, err := solver.ScoresSetCtx(ctx, queries)
+	R, _, _, err := solveStep1(ctx, solver, queries, cfg, Serving{}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Conf
 	if err := r.check(queries, cfg); err != nil {
 		return nil, err
 	}
-	R, _, _, err := r.scoresSet(ctx, queries, cfg)
+	R, _, _, err := solveStep1(ctx, r.solver, queries, cfg, r.sv, r.space)
 	if err != nil {
 		return nil, err
 	}

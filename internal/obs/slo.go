@@ -212,11 +212,11 @@ type objectiveState struct {
 // windows. Safe for concurrent use; recording is one mutex acquisition
 // for all objectives.
 type SLOTracker struct {
-	mu       sync.Mutex
-	objs     []*objectiveState
-	fastBurn float64 // breach threshold on the 1m window
-	slowBurn float64 // breach threshold on the 5m window
-	minEvents uint64 // samples a window needs before its burn rate is acted on
+	mu        sync.Mutex
+	objs      []*objectiveState
+	fastBurn  float64 // breach threshold on the 1m window
+	slowBurn  float64 // breach threshold on the 5m window
+	minEvents uint64  // samples a window needs before its burn rate is acted on
 }
 
 // NewSLOTracker builds a tracker. fastBurn/slowBurn are the breach

@@ -53,8 +53,9 @@ type SlowQueryEntry struct {
 	// (empty when tracing is off or the trace was not sampled).
 	TraceID string `json:"trace_id,omitempty"`
 	// SolveKernel and SolveSweeps summarize Step 1: which kernel answered
-	// ("blocked" or "scalar") and the total power-iteration sweeps across
-	// the query's sources (0 when every source was a cache hit).
+	// ("blocked", "artifact" or "exact") and the total power-iteration
+	// sweeps across the query's sources (0 when every source was a cache
+	// hit).
 	SolveKernel string `json:"solve_kernel,omitempty"`
 	SolveSweeps int    `json:"solve_sweeps"`
 	// Error is set when the query failed (failures slower than the

@@ -73,8 +73,8 @@ func TestArtifactServingPaths(t *testing.T) {
 		name string
 		opt  ServeOptions
 	}{
-		{"scalar", ServeOptions{Blocked: BlockNever}},
-		{"blocked", ServeOptions{Blocked: BlockAlways, Workers: 2}},
+		{"serial", ServeOptions{Workers: 1}},
+		{"blocked", ServeOptions{Workers: 2}},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestArtifactServingPaths(t *testing.T) {
 			opt := p.opt
 			opt.Artifacts = fa
 			cache := NewScoreCache(1 << 20)
-			R, diags, stats, err := s.ScoresSetServingOptCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+			R, diags, stats, err := s.Resolve(context.Background(), queries, cache, space, NewPool(2), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestArtifactServingPaths(t *testing.T) {
 			// Artifact-served vectors must have been inserted into the LRU:
 			// the warm repeat is all cache hits with no further tier reads.
 			before := fa.reads.Load()
-			_, _, warm, err := s.ScoresSetServingOptCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+			_, _, warm, err := s.Resolve(context.Background(), queries, cache, space, NewPool(2), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func TestArtifactServingCoalesced(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	coal := NewCoalescer(CoalesceOptions{})
 	opt := ServeOptions{Coalesce: coal, Artifacts: fa, Workers: 2}
-	R, _, stats, err := s.ScoresSetServingOptCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+	R, _, stats, err := s.Resolve(context.Background(), queries, cache, space, NewPool(2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,20 +145,20 @@ func TestArtifactServingCoalesced(t *testing.T) {
 func TestArtifactServingNoCache(t *testing.T) {
 	g := randomGraph(t, 50, 120, 95)
 	const space = uint64(99)
-	for _, blocked := range []BlockMode{BlockNever, BlockAlways} {
+	for _, workers := range []int{1, 2} {
 		s, err := NewSolver(g, colConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		fa := newFakeArtifacts(t, s, space, []int{2, 8})
 		queries := []int{2, 8, 17}
-		opt := ServeOptions{Blocked: blocked, Artifacts: fa}
-		R, _, stats, err := s.ScoresSetServingOptCtx(context.Background(), queries, nil, space, nil, opt)
+		opt := ServeOptions{Workers: workers, Artifacts: fa}
+		R, _, stats, err := s.Resolve(context.Background(), queries, nil, space, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.ArtifactHits != 2 || stats.Misses != 3 {
-			t.Fatalf("blocked=%v: cache-off stats = %+v", blocked, stats)
+			t.Fatalf("workers=%d: cache-off stats = %+v", workers, stats)
 		}
 		assertBitEqual(t, s, queries, R)
 	}
@@ -175,7 +175,7 @@ func TestArtifactBadLengthRejected(t *testing.T) {
 	fa.badLen = true
 	cache := NewScoreCache(1 << 20)
 	opt := ServeOptions{Artifacts: fa}
-	R, _, stats, err := s.ScoresSetServingOptCtx(context.Background(), []int{4}, cache, space, nil, opt)
+	R, _, stats, err := s.Resolve(context.Background(), []int{4}, cache, space, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package rwr
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func BenchmarkNewSolver(b *testing.B) {
 	g := randomGraph(b, 5000, 20000, 1)
@@ -27,7 +30,7 @@ func BenchmarkScoresM50(b *testing.B) {
 	}
 }
 
-func BenchmarkScoresSetSequentialVsParallel(b *testing.B) {
+func BenchmarkScoresSetSequentialVsBlocked(b *testing.B) {
 	g := randomGraph(b, 5000, 20000, 1)
 	s, err := NewSolver(g, DefaultConfig())
 	if err != nil {
@@ -41,9 +44,9 @@ func BenchmarkScoresSetSequentialVsParallel(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ScoresSetParallel(queries, 0); err != nil {
+			if _, _, err := s.ScoresSetBlockedCtx(context.Background(), queries, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,58 +11,6 @@ import (
 	"ceps/internal/obs"
 )
 
-// BlockMode selects whether a multi-query solve runs the blocked
-// multi-source kernel (one fused SpMM sweep advancing all Q walks) or Q
-// independent per-query power iterations. The two produce bit-identical
-// score vectors; the knob only trades kernel shape, so it is safe to flip
-// on a live engine and never affects cache keys.
-type BlockMode int
-
-const (
-	// BlockAuto (the zero value) uses the blocked kernel whenever the
-	// query set has at least two members — the fused sweep streams the
-	// transition matrix once instead of Q times, which is a pure win as
-	// soon as there is more than one right-hand side.
-	BlockAuto BlockMode = iota
-	// BlockNever forces per-query scalar solves (the pre-blocking
-	// behavior; useful for A/B measurement and as an escape hatch).
-	BlockNever
-	// BlockAlways routes even single-query sets through the panel kernel
-	// (mainly for testing the blocked path at Q = 1).
-	BlockAlways
-)
-
-// Use reports whether a query set of size q should run blocked under m.
-func (m BlockMode) Use(q int) bool {
-	switch m {
-	case BlockNever:
-		return false
-	case BlockAlways:
-		return q >= 1
-	default:
-		return q >= 2
-	}
-}
-
-// Valid reports whether m is a known mode.
-func (m BlockMode) Valid() bool {
-	return m == BlockAuto || m == BlockNever || m == BlockAlways
-}
-
-// String returns a human-readable mode name.
-func (m BlockMode) String() string {
-	switch m {
-	case BlockAuto:
-		return "auto"
-	case BlockNever:
-		return "never"
-	case BlockAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("BlockMode(%d)", int(m))
-	}
-}
-
 // getVec checks an n-vector out of the solve-buffer pool, allocating when
 // the pool is empty (works for zero-value Solvers built in tests, too).
 func (s *Solver) getVec() *[]float64 {
@@ -136,13 +84,8 @@ func (s *Solver) splitsFor(workers int) []int {
 // bookkeeping and copied forward unchanged) while the rest keep sweeping,
 // matching the scalar early stop exactly.
 func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers int) ([][]float64, []Diagnostics, error) {
-	if len(queries) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
-	}
-	for _, q := range queries {
-		if q < 0 || q >= s.n {
-			return nil, nil, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
-		}
+	if err := s.checkSources(queries); err != nil {
+		return nil, nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

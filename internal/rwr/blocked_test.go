@@ -220,11 +220,11 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	pool := NewPool(2)
 	space := Space(colConfig().Fingerprint(), 1, nil)
-	opt := ServeOptions{Blocked: BlockAuto, Workers: 2}
+	opt := ServeOptions{Workers: 2}
 	ctx := context.Background()
 
 	queries := []int{1, 2, 3}
-	R, _, stats, err := s.ScoresSetServingOptCtx(ctx, queries, cache, space, pool, opt)
+	R, _, stats, err := s.Resolve(ctx, queries, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 		requireBitIdentical(t, R[i], want, "cold blocked serving")
 	}
 
-	R2, _, stats, err := s.ScoresSetServingOptCtx(ctx, queries, cache, space, pool, opt)
+	R2, _, stats, err := s.Resolve(ctx, queries, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 		requireBitIdentical(t, R2[i], R[i], "warm blocked serving")
 	}
 
-	_, _, stats, err = s.ScoresSetServingOptCtx(ctx, []int{2, 3, 4}, cache, space, pool, opt)
+	_, _, stats, err = s.Resolve(ctx, []int{2, 3, 4}, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +271,16 @@ func TestServingBlockedCanceledLeaderCleansFlights(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	pool := NewPool(1)
 	space := Space(colConfig().Fingerprint(), 2, nil)
-	opt := ServeOptions{Blocked: BlockAuto, Workers: 1}
+	opt := ServeOptions{Workers: 1}
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := s.ScoresSetServingOptCtx(canceled, []int{4, 5}, cache, space, pool, opt); !errors.Is(err, fault.ErrCanceled) {
+	if _, _, _, err := s.Resolve(canceled, []int{4, 5}, cache, space, pool, opt); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, stats, err := s.ScoresSetServingOptCtx(context.Background(), []int{4, 5}, cache, space, pool, opt)
+		_, _, stats, err := s.Resolve(context.Background(), []int{4, 5}, cache, space, pool, opt)
 		if err == nil && stats.Misses != 2 {
 			err = errors.New("retry should re-solve both sources")
 		}

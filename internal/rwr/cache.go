@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -90,8 +89,12 @@ func (p *Pool) Size() int { return cap(p.sem) }
 // acquire blocks until a slot is free or ctx fires. A wait the context did
 // not survive is classified as a pool_wait shed (ErrOverloaded wrapping the
 // context identity), not an ordinary error: the pool refusing the work in
-// time is load, not failure, and metrics count it as such.
+// time is load, not failure, and metrics count it as such. A nil pool is
+// unbounded: acquire and release are no-ops.
 func (p *Pool) acquire(ctx context.Context) error {
+	if p == nil {
+		return nil
+	}
 	if inj := fault.ActiveInjector(); inj != nil && inj.Fire(fault.InjectPoolStarve) {
 		// Chaos: a wedged pool — block until the caller's context fires.
 		<-ctx.Done()
@@ -105,7 +108,11 @@ func (p *Pool) acquire(ctx context.Context) error {
 	}
 }
 
-func (p *Pool) release() { <-p.sem }
+func (p *Pool) release() {
+	if p != nil {
+		<-p.sem
+	}
+}
 
 // CacheStats is a point-in-time snapshot of a ScoreCache's counters.
 type CacheStats struct {
@@ -274,8 +281,12 @@ func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Di
 // and counted as a stale drop — when a Purge bumped the generation after
 // the flight started: the purge's caller (Reconfigure, SetPartitioned)
 // has already retired this flight's key space, so storing would only park
-// unreadable vectors against the byte budget until LRU eviction.
+// unreadable vectors against the byte budget until LRU eviction. On a nil
+// cache (no flight was registered) finish is a no-op.
 func (c *ScoreCache) finish(space uint64, source int, fl *flight, vec []float64, diag Diagnostics, err error) {
+	if c == nil {
+		return
+	}
 	key := cacheKey{space: space, source: source}
 	if err == nil {
 		stored := make([]float64, len(vec))
@@ -336,74 +347,11 @@ func contextual(err error) bool {
 		errors.Is(err, fault.ErrCanceled) || errors.Is(err, fault.ErrDeadlineExceeded)
 }
 
-// serveOne resolves one source's score vector through the serving layer:
-// cache hit, join of an in-flight solve, a precompute-tier row read, or a
-// fresh pool-bounded solve (stored on success). cache may be nil (consult
-// artifacts, else solve), pool may be nil (unbounded), and art may be nil
-// (no precompute tier). src reports how the vector was obtained.
-func (s *Solver) serveOne(ctx context.Context, cache *ScoreCache, space uint64, q int, pool *Pool, art ArtifactReader) (vec []float64, diag Diagnostics, src serveSource, err error) {
-	if cache == nil {
-		if vec, ok := s.readArtifact(art, space, q); ok {
-			return vec, artifactDiag(), srcArtifact, nil
-		}
-		vec, diag, err = s.solvePooled(ctx, q, pool)
-		return vec, diag, srcSolved, err
-	}
-	for {
-		vec, diag, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
-			return vec, diag, srcCached, nil
-		}
-		if leader {
-			// The artifact tier sits between the cache and the solver: a
-			// covered source is one row read, finished into the flight so
-			// followers inherit it and the LRU stores it like any solve.
-			if vec, ok := s.readArtifact(art, space, q); ok {
-				cache.finish(space, q, fl, vec, artifactDiag(), nil)
-				return vec, artifactDiag(), srcArtifact, nil
-			}
-			vec, diag, err := s.solvePooled(ctx, q, pool)
-			cache.finish(space, q, fl, vec, diag, err)
-			return vec, diag, srcSolved, err
-		}
-		select {
-		case <-fl.done:
-			if fl.err == nil {
-				out := make([]float64, len(fl.vec))
-				copy(out, fl.vec)
-				return out, fl.diag, srcCached, nil
-			}
-			if !contextual(fl.err) {
-				return nil, Diagnostics{}, srcSolved, fl.err
-			}
-			if err := fault.FromContext(ctx); err != nil {
-				return nil, Diagnostics{}, srcSolved, err
-			}
-			// The leader's context died but ours is alive: retry (and
-			// likely become the new leader).
-		case <-ctx.Done():
-			return nil, Diagnostics{}, srcSolved, fault.FromContext(ctx)
-		}
-	}
-}
-
-// solvePooled runs one solve under the pool's concurrency bound. The slot
-// is held only for the duration of the sweeps.
-func (s *Solver) solvePooled(ctx context.Context, q int, pool *Pool) ([]float64, Diagnostics, error) {
-	if pool != nil {
-		if err := pool.acquire(ctx); err != nil {
-			return nil, Diagnostics{}, err
-		}
-		defer pool.release()
-	}
-	return s.ScoresCtx(ctx, q)
-}
-
-// ServeStats reports how one serving-layer call resolved its sources:
-// Hits were served from a stored vector or a joined in-flight solve,
-// Misses required a fresh solve by this caller. Hits+Misses equals the
-// query-set size on success. Unlike CacheStats these are per-call, which
-// is what per-query stage accounting (Result.Stages) reports.
+// ServeStats reports how one Resolve call resolved its sources: Hits were
+// served from a stored vector or a joined in-flight solve, Misses required
+// a fresh solve by this caller. Hits+Misses equals the query-set size on
+// success. Unlike CacheStats these are per-call, which is what per-query
+// stage accounting (Result.Stages) reports.
 type ServeStats struct {
 	Hits, Misses int
 	// ArtifactHits counts the Misses (they are a subset — the cache did
@@ -419,51 +367,27 @@ type ServeStats struct {
 	CoalesceWait time.Duration
 }
 
-// serveSource says how one source's vector was obtained.
-type serveSource int
-
-const (
-	// srcSolved: a fresh iterative solve ran for this caller.
-	srcSolved serveSource = iota
-	// srcCached: a stored vector or another caller's flight served it.
-	srcCached
-	// srcArtifact: a precompute-tier row read served it (counted as a
-	// cache miss plus an artifact hit).
-	srcArtifact
-)
-
-// count folds one resolved source into the per-call stats.
-func (stats *ServeStats) count(src serveSource) {
-	switch src {
-	case srcCached:
-		stats.Hits++
-	case srcArtifact:
-		stats.Misses++
-		stats.ArtifactHits++
-	default:
-		stats.Misses++
-	}
+// add folds the stats of a nested Resolve (a follower's retry) into stats.
+func (stats *ServeStats) add(o ServeStats) {
+	stats.Hits += o.Hits
+	stats.Misses += o.Misses
+	stats.ArtifactHits += o.ArtifactHits
+	stats.CoalescedWidth = max(stats.CoalescedWidth, o.CoalescedWidth)
+	stats.CoalesceWait = max(stats.CoalesceWait, o.CoalesceWait)
 }
 
-// ServeOptions selects the execution strategy of a serving-layer solve.
-// The zero value reproduces the historical behavior (per-query scalar
-// solves). Because blocked and scalar execution are bit-identical, the
-// options never influence cache keys — a vector solved blocked serves a
-// scalar request and vice versa.
+// ServeOptions are the per-call inputs of Resolve beyond the cache, key
+// space and pool. None of them influences cache keys or answers: panel
+// solves are column-wise bit-identical to ScoresCtx for every worker count
+// and panel width, so they only decide scheduling.
 type ServeOptions struct {
-	// Blocked selects blocked vs per-query execution (see BlockMode),
-	// tested against the query-set size; the resulting miss set — however
-	// small — is then solved with one blocked kernel call.
-	Blocked BlockMode
-	// Workers bounds the intra-sweep row-parallelism of a blocked solve
-	// (≤ 0 means GOMAXPROCS). Scalar execution ignores it.
+	// Workers bounds the intra-sweep row-parallelism of the panel solve
+	// (≤ 0 means GOMAXPROCS, 1 is serial).
 	Workers int
-	// Coalesce, when non-nil, routes this call's cache misses through a
-	// shared cross-request coalescer: misses join a forming panel (possibly
-	// alongside other callers' misses for the same key space) instead of
-	// solving directly. Requires a cache; ignored without one. Because
-	// panel solves are bit-identical to scalar solves, coalescing never
-	// influences cache keys or answers — only scheduling.
+	// Coalesce, when non-nil, hands this call's panel to a shared
+	// cross-request coalescer: its misses join a forming panel, possibly
+	// alongside other callers' misses for the same key space, instead of
+	// solving directly. Requires a cache; ignored without one.
 	Coalesce *Coalescer
 	// Artifacts, when non-nil, is consulted for every cache miss this call
 	// leads, between the cache and the solver: a covered source becomes
@@ -475,223 +399,129 @@ type ServeOptions struct {
 	Artifacts ArtifactReader
 }
 
-// ScoresSetServingCtx computes the score matrix for a query set through
-// the serving layer: sources already cached under space are returned
-// without solving, concurrent requests for the same missing source share
-// one solve, and fresh solves for distinct sources run concurrently under
-// the pool's bound. The result is bit-identical to ScoresSetCtx — power
-// iteration is deterministic, and cached vectors are exact copies of what
-// a fresh solve returns.
-func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool) ([][]float64, []Diagnostics, ServeStats, error) {
-	return s.ScoresSetServingOptCtx(ctx, queries, cache, space, pool, ServeOptions{Blocked: BlockNever})
-}
-
-// ScoresSetServingOptCtx is ScoresSetServingCtx with an execution-strategy
-// choice. When opt selects blocked execution, the call first triages every
-// source against the cache, then solves the whole miss set with one
-// ScoresSetBlockedCtx call under a single pool slot — the fused sweep
-// streams the transition matrix once for all cold sources instead of once
-// per source — registering each miss as a flight leader so concurrent
-// requests for the same sources still share the work. Followers and hits
-// behave exactly as in the scalar path.
-func (s *Solver) ScoresSetServingOptCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
-	if len(queries) == 0 {
-		return nil, nil, stats, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
-	}
-	for _, q := range queries {
-		if q < 0 || q >= s.n {
-			return nil, nil, stats, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
-		}
+// Resolve is the one Step 1 resolver of the serving layer: it computes the
+// score matrix for a query set (one row per source) in four steps.
+//
+//  1. Triage: each source is a cache hit, a follower of a solve already in
+//     flight, or a leader of a new flight. With a nil cache every source is
+//     a leader and no flight is registered.
+//  2. The artifact tier, when attached, serves the leaders it covers with
+//     one row read each.
+//  3. The remaining leaders solve as ONE ScoresSetBlockedCtx panel — through
+//     the coalescer when one is attached (and a cache exists), otherwise
+//     under a single pool slot (nil pool: unbounded). The fused sweep
+//     streams the transition matrix once for all of them.
+//  4. Followers wait for their leaders. A follower whose leader died on a
+//     context error while its own context is alive re-enters the resolver
+//     for that one source (and likely becomes the new leader).
+//
+// The result is bit-identical to ScoresSetCtx: power iteration is
+// deterministic, the blocked kernel matches ScoresCtx column for column,
+// and cached vectors are exact copies of what a fresh solve returns.
+func (s *Solver) Resolve(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
+	if err := s.checkSources(queries); err != nil {
+		return nil, nil, ServeStats{}, err
 	}
 	if cache != nil {
 		if inj := fault.ActiveInjector(); inj != nil {
 			if err := inj.Err(fault.InjectCacheFail); err != nil {
-				return nil, nil, stats, err
+				return nil, nil, ServeStats{}, err
 			}
 		}
 	}
-	if opt.Coalesce != nil && cache != nil {
-		return s.scoresSetServingCoalesced(ctx, queries, cache, space, pool, opt)
-	}
-	if opt.Blocked.Use(len(queries)) {
-		return s.scoresSetServingBlocked(ctx, queries, cache, space, pool, opt)
-	}
-	return s.scoresSetServingScalar(ctx, queries, cache, space, pool, opt.Artifacts)
+	return s.resolve(ctx, queries, cache, space, pool, opt)
 }
 
-// scoresSetServingCoalesced is the coalesced miss path: hits and followers
-// behave exactly as in the blocked path, but every miss this call leads is
-// handed to the shared coalescer, where it may ride one blocked panel with
-// misses from concurrent callers. Queries are pre-validated by the caller.
-func (s *Solver) scoresSetServingCoalesced(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
+// resolve is Resolve past validation; follower retries re-enter here.
+func (s *Solver) resolve(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
 	var stats ServeStats
 	R := make([][]float64, len(queries))
 	diags := make([]Diagnostics, len(queries))
 	var leaders, followers []pendingFlight
 	for i, q := range queries {
-		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
-			R[i], diags[i] = vec, d
-			stats.Hits++
+		if cache == nil {
+			leaders = append(leaders, pendingFlight{i, q, nil})
 			continue
 		}
-		if leader {
-			leaders = append(leaders, pendingFlight{i, q, fl})
-		} else {
-			followers = append(followers, pendingFlight{i, q, fl})
-		}
-	}
-	leaders = s.serveLeadersFromArtifacts(cache, space, opt.Artifacts, leaders, R, diags, &stats)
-	var firstErr error
-	if len(leaders) > 0 {
-		entries := make([]panelEntry, len(leaders))
-		for k, p := range leaders {
-			entries[k] = panelEntry{q: p.q, fl: p.fl}
-		}
-		panels := opt.Coalesce.enqueue(s, cache, space, pool, opt.Workers, entries)
-		for k, p := range leaders {
-			if firstErr != nil {
-				// Still release our liveness reference: the panel either
-				// solves for its remaining waiters or aborts cleanly, and
-				// its flights are finished by the panel goroutine either
-				// way — unlike the blocked path, nothing is orphaned here.
-				panels[k].leave()
-				continue
-			}
-			vec, d, err := opt.Coalesce.wait(ctx, panels[k], p.fl)
-			if err != nil && contextual(err) && fault.ShedReason(err) == "" {
-				if ctxErr := fault.FromContext(ctx); ctxErr != nil {
-					err = ctxErr
-				} else {
-					// The panel was abandoned or canceled by other waiters
-					// while our context is alive: solve solo, uncoalesced.
-					vec, d, _, err = s.serveOne(ctx, cache, space, p.q, pool, opt.Artifacts)
-				}
-			}
-			if err != nil {
-				firstErr = err
-				continue
-			}
-			R[p.idx], diags[p.idx] = vec, d
-			stats.Misses++
-			panels[k].noteStats(&stats)
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, stats, firstErr
-	}
-	for _, p := range followers {
-		vec, d, src, err := s.awaitFlight(ctx, cache, space, p.q, p.fl, pool, opt.Artifacts)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		R[p.idx], diags[p.idx] = vec, d
-		stats.count(src)
-	}
-	return R, diags, stats, nil
-}
-
-// scoresSetServingBlocked is the blocked miss path of the serving layer.
-// Queries are pre-validated by the caller.
-func (s *Solver) scoresSetServingBlocked(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
-	if cache == nil {
-		R := make([][]float64, len(queries))
-		diags := make([]Diagnostics, len(queries))
-		var missIdx []int
-		for i, q := range queries {
-			if vec, ok := s.readArtifact(opt.Artifacts, space, q); ok {
-				R[i], diags[i] = vec, artifactDiag()
-				stats.ArtifactHits++
-				continue
-			}
-			missIdx = append(missIdx, i)
-		}
-		stats.Misses = len(queries)
-		if len(missIdx) > 0 {
-			missQ := make([]int, len(missIdx))
-			for k, i := range missIdx {
-				missQ[k] = queries[i]
-			}
-			mR, mD, err := s.blockedPooled(ctx, missQ, opt.Workers, pool)
-			if err != nil {
-				return nil, nil, stats, err
-			}
-			for k, i := range missIdx {
-				R[i], diags[i] = mR[k], mD[k]
-			}
-		}
-		return R, diags, stats, nil
-	}
-	R := make([][]float64, len(queries))
-	diags := make([]Diagnostics, len(queries))
-	var leaders, followers []pendingFlight
-	for i, q := range queries {
 		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
+		switch {
+		case ok:
 			R[i], diags[i] = vec, d
 			stats.Hits++
-			continue
-		}
-		if leader {
+		case leader:
 			leaders = append(leaders, pendingFlight{i, q, fl})
-		} else {
+		default:
 			followers = append(followers, pendingFlight{i, q, fl})
 		}
 	}
 	leaders = s.serveLeadersFromArtifacts(cache, space, opt.Artifacts, leaders, R, diags, &stats)
 	if len(leaders) > 0 {
-		missQ := make([]int, len(leaders))
-		for k, p := range leaders {
-			missQ[k] = p.q
+		var err error
+		if opt.Coalesce != nil && cache != nil {
+			err = s.solveCoalesced(ctx, leaders, cache, space, pool, opt, R, diags, &stats)
+		} else {
+			err = s.solvePanel(ctx, leaders, cache, space, pool, opt.Workers, R, diags, &stats)
 		}
-		mR, mD, err := s.blockedPooled(ctx, missQ, opt.Workers, pool)
 		if err != nil {
-			// Every registered flight must be finished, or concurrent
-			// followers of these sources would wait forever.
-			for _, p := range leaders {
-				cache.finish(space, p.q, p.fl, nil, Diagnostics{}, err)
-			}
 			return nil, nil, stats, err
-		}
-		for k, p := range leaders {
-			cache.finish(space, p.q, p.fl, mR[k], mD[k], nil)
-			R[p.idx], diags[p.idx] = mR[k], mD[k]
-			stats.Misses++
 		}
 	}
 	// Our own leaders' flights are finished above, so followers of flights
-	// from this very call never deadlock; followers of external leaders
-	// inherit serveOne's wait-and-retry semantics.
+	// from this very call never deadlock.
 	for _, p := range followers {
-		vec, d, src, err := s.awaitFlight(ctx, cache, space, p.q, p.fl, pool, opt.Artifacts)
-		if err != nil {
+		select {
+		case <-p.fl.done:
+		case <-ctx.Done():
+			return nil, nil, stats, fault.FromContext(ctx)
+		}
+		if p.fl.err == nil {
+			R[p.idx], diags[p.idx] = append([]float64(nil), p.fl.vec...), p.fl.diag
+			stats.Hits++
+			continue
+		}
+		if !contextual(p.fl.err) {
+			return nil, nil, stats, p.fl.err
+		}
+		if err := s.retry(ctx, p, cache, space, pool, opt, R, diags, &stats); err != nil {
 			return nil, nil, stats, err
 		}
-		R[p.idx], diags[p.idx] = vec, d
-		stats.count(src)
 	}
 	return R, diags, stats, nil
 }
 
-// pendingFlight is one triaged source awaiting resolution in a batch
-// serving path: its position in the query set, the source id, and the
-// flight this caller leads or follows.
+// retry re-resolves one source whose leader or panel died on a context
+// error that is not the caller's own: with ctx still alive, the source
+// goes back through the resolver (likely becoming a fresh leader).
+func (s *Solver) retry(ctx context.Context, p pendingFlight, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions, R [][]float64, diags []Diagnostics, stats *ServeStats) error {
+	if err := fault.FromContext(ctx); err != nil {
+		return err
+	}
+	r, d, sub, err := s.resolve(ctx, []int{p.q}, cache, space, pool, opt)
+	if err != nil {
+		return err
+	}
+	R[p.idx], diags[p.idx] = r[0], d[0]
+	stats.add(sub)
+	return nil
+}
+
+// pendingFlight is one triaged source awaiting resolution: its position in
+// the query set, the source id, and the flight this caller leads or
+// follows (nil without a cache).
 type pendingFlight struct {
 	idx int
 	q   int
 	fl  *flight
 }
 
-// serveLeadersFromArtifacts is the precompute-tier consultation for a
-// batch of flight leaders, run after cache triage and before the
-// iterative solve: each covered source becomes one row read, finished
-// into its flight (so followers inherit it and the LRU stores it exactly
-// as it would a solved vector) and recorded in R/diags/stats. The leaders
-// the tier could not serve are returned for the solve.
+// serveLeadersFromArtifacts is the precompute-tier consultation for the
+// leaders, run after cache triage and before the iterative solve: each
+// covered source becomes one row read, finished into its flight (so
+// followers inherit it and the LRU stores it exactly as it would a solved
+// vector) and recorded in R/diags/stats. The leaders the tier could not
+// serve are returned for the solve.
 func (s *Solver) serveLeadersFromArtifacts(cache *ScoreCache, space uint64, art ArtifactReader, leaders []pendingFlight, R [][]float64, diags []Diagnostics, stats *ServeStats) []pendingFlight {
-	if art == nil || len(leaders) == 0 {
+	if art == nil {
 		return leaders
 	}
 	kept := leaders[:0]
@@ -703,87 +533,75 @@ func (s *Solver) serveLeadersFromArtifacts(cache *ScoreCache, space uint64, art 
 		}
 		cache.finish(space, p.q, p.fl, vec, artifactDiag(), nil)
 		R[p.idx], diags[p.idx] = vec, artifactDiag()
-		stats.count(srcArtifact)
+		stats.Misses++
+		stats.ArtifactHits++
 	}
 	return kept
 }
 
-// blockedPooled runs one blocked multi-source solve under a single pool
-// slot: the whole miss set is one kernel invocation whose intra-sweep
-// parallelism is bounded by workers, so it occupies one slot the way one
-// scalar solve does.
-func (s *Solver) blockedPooled(ctx context.Context, queries []int, workers int, pool *Pool) ([][]float64, []Diagnostics, error) {
-	if pool != nil {
-		if err := pool.acquire(ctx); err != nil {
-			return nil, nil, err
-		}
-		defer pool.release()
+// solvePanel solves the leaders as one blocked panel under a single pool
+// slot — one kernel invocation whose intra-sweep parallelism is bounded by
+// workers, so it occupies one slot the way one walk would — and finishes
+// their flights with the outcome.
+func (s *Solver) solvePanel(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, workers int, R [][]float64, diags []Diagnostics, stats *ServeStats) error {
+	queries := make([]int, len(leaders))
+	for k, p := range leaders {
+		queries[k] = p.q
 	}
-	return s.ScoresSetBlockedCtx(ctx, queries, workers)
-}
-
-// awaitFlight waits out another caller's flight for (space, q), with the
-// same semantics as serveOne's follower branch: inherit the result, or on
-// a contextual leader failure with a live context, re-enter the serving
-// path (and possibly become the new leader).
-func (s *Solver) awaitFlight(ctx context.Context, cache *ScoreCache, space uint64, q int, fl *flight, pool *Pool, art ArtifactReader) (vec []float64, diag Diagnostics, src serveSource, err error) {
-	select {
-	case <-fl.done:
-		if fl.err == nil {
-			out := make([]float64, len(fl.vec))
-			copy(out, fl.vec)
-			return out, fl.diag, srcCached, nil
-		}
-		if !contextual(fl.err) {
-			return nil, Diagnostics{}, srcSolved, fl.err
-		}
-		if err := fault.FromContext(ctx); err != nil {
-			return nil, Diagnostics{}, srcSolved, err
-		}
-		return s.serveOne(ctx, cache, space, q, pool, art)
-	case <-ctx.Done():
-		return nil, Diagnostics{}, srcSolved, fault.FromContext(ctx)
+	var mR [][]float64
+	var mD []Diagnostics
+	err := pool.acquire(ctx)
+	if err == nil {
+		mR, mD, err = s.ScoresSetBlockedCtx(ctx, queries, workers)
+		pool.release()
 	}
-}
-
-// scoresSetServingScalar is the historical per-query serving path. Queries
-// are pre-validated by the caller.
-func (s *Solver) scoresSetServingScalar(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, art ArtifactReader) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
-	R := make([][]float64, len(queries))
-	diags := make([]Diagnostics, len(queries))
-	if len(queries) == 1 || pool == nil || pool.Size() == 1 {
-		for i, q := range queries {
-			r, d, src, err := s.serveOne(ctx, cache, space, q, pool, art)
-			if err != nil {
-				return nil, nil, stats, err
-			}
-			R[i], diags[i] = r, d
-			stats.count(src)
-		}
-		return R, diags, stats, nil
-	}
-	errs := make([]error, len(queries))
-	srcs := make([]serveSource, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i, q int) {
-			defer wg.Done()
-			R[i], diags[i], srcs[i], errs[i] = s.serveOne(ctx, cache, space, q, pool, art)
-		}(i, q)
-	}
-	wg.Wait()
-	if err := fault.FromContext(ctx); err != nil {
-		return nil, nil, stats, err
-	}
-	for _, err := range errs {
+	for k, p := range leaders {
+		// Every registered flight must be finished, or concurrent
+		// followers of these sources would wait forever.
 		if err != nil {
-			return nil, nil, stats, err
+			cache.finish(space, p.q, p.fl, nil, Diagnostics{}, err)
+			continue
+		}
+		cache.finish(space, p.q, p.fl, mR[k], mD[k], nil)
+		R[p.idx], diags[p.idx] = mR[k], mD[k]
+	}
+	stats.Misses += len(leaders)
+	return err
+}
+
+// solveCoalesced hands the leaders to the shared coalescer, where they may
+// ride one blocked panel with misses from concurrent callers, and collects
+// their columns.
+func (s *Solver) solveCoalesced(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions, R [][]float64, diags []Diagnostics, stats *ServeStats) error {
+	entries := make([]panelEntry, len(leaders))
+	for k, p := range leaders {
+		entries[k] = panelEntry{q: p.q, fl: p.fl}
+	}
+	panels := opt.Coalesce.enqueue(s, cache, space, pool, opt.Workers, entries)
+	var firstErr error
+	for k, p := range leaders {
+		if firstErr != nil {
+			// Still release our liveness reference: the panel either
+			// solves for its remaining waiters or aborts cleanly, and its
+			// flights are finished by the panel goroutine either way.
+			panels[k].leave()
+			continue
+		}
+		vec, d, err := opt.Coalesce.wait(ctx, panels[k], p.fl)
+		switch {
+		case err == nil:
+			R[p.idx], diags[p.idx] = vec, d
+			stats.Misses++
+			panels[k].noteStats(stats)
+		case contextual(err) && fault.ShedReason(err) == "":
+			// The panel was abandoned or canceled by other waiters: with
+			// our context alive, re-resolve solo, uncoalesced.
+			solo := opt
+			solo.Coalesce = nil
+			firstErr = s.retry(ctx, p, cache, space, pool, solo, R, diags, stats)
+		default:
+			firstErr = err
 		}
 	}
-	for _, src := range srcs {
-		stats.count(src)
-	}
-	return R, diags, stats, nil
+	return firstErr
 }

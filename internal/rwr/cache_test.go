@@ -5,7 +5,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"ceps/internal/fault"
 	"ceps/internal/graph"
 )
 
@@ -70,7 +72,7 @@ func TestServingBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, diags, _, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(4))
+		got, diags, _, err := s.Resolve(context.Background(), queries, cache, space, NewPool(4), ServeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +102,13 @@ func TestServingReturnsPrivateCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewScoreCache(1 << 20)
-	first, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil)
+	first, _, _, err := s.Resolve(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first[0][5]
 	first[0][5] = math.Inf(1) // caller scribbles on its result
-	second, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil)
+	second, _, _, err := s.Resolve(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,11 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []int{2, 9, 30, 2} {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil); err != nil {
+		if _, _, _, err := s.Resolve(context.Background(), []int{q}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{2}, cache, 1, nil)
+	got, _, _, err := s.Resolve(context.Background(), []int{2}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestCacheZeroBudgetAlwaysMisses(t *testing.T) {
 	}
 	cache := NewScoreCache(0)
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, 1, nil); err != nil {
+		if _, _, _, err := s.Resolve(context.Background(), []int{4}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +208,7 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{7}, cache, 9, pool)
+			R, _, _, err := s.Resolve(context.Background(), []int{7}, cache, 9, pool, ServeOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -257,7 +259,7 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		_, _, _, leaderErr = s.ScoresSetServingCtx(leaderCtx, []int{3}, cache, 1, nil)
+		_, _, _, leaderErr = s.Resolve(leaderCtx, []int{3}, cache, 1, nil, ServeOptions{})
 	}()
 	<-started
 	cancelLeader()
@@ -267,13 +269,67 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 		// follower below must succeed.
 		t.Log("leader finished before cancel")
 	}
-	R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{3}, cache, 1, nil)
+	R, _, _, err := s.Resolve(context.Background(), []int{3}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatalf("follower failed after leader cancel: %v", err)
 	}
 	if len(R[0]) != g.N() {
 		t.Fatal("bad vector length")
 	}
+}
+
+// TestResolveFollowerRetriesAfterLeaderContextError pins step 4 of the
+// resolver: a follower parked on another caller's flight, whose leader
+// then dies on a context error, re-enters the resolver with its own live
+// context, becomes the new leader, and returns the exact solved vector.
+func TestResolveFollowerRetriesAfterLeaderContextError(t *testing.T) {
+	g := cacheTestGraph(t, 120)
+	s, err := NewSolver(g, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewScoreCache(1 << 20)
+	const space = uint64(5)
+	_, _, _, fl, leader := cache.getOrJoin(space, 3)
+	if !leader {
+		t.Fatal("first getOrJoin should lead")
+	}
+	type out struct {
+		R     [][]float64
+		stats ServeStats
+		err   error
+	}
+	done := make(chan out, 1)
+	go func() {
+		R, _, stats, err := s.Resolve(context.Background(), []int{3}, cache, space, NewPool(1), ServeOptions{Workers: 1})
+		done <- out{R, stats, err}
+	}()
+	for cache.Stats().Hits == 0 { // the follower has joined the flight
+		time.Sleep(time.Millisecond)
+	}
+	cache.finish(space, 3, fl, nil, Diagnostics{}, fault.FromContext(canceledCtx()))
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("follower failed after the leader's context error: %v", got.err)
+	}
+	if got.stats.Misses != 1 || got.stats.Hits != 0 {
+		t.Errorf("stats = %+v, want the retry counted as 1 miss", got.stats)
+	}
+	want, _, err := s.ScoresCtx(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		if math.Float64bits(got.R[0][j]) != math.Float64bits(want[j]) {
+			t.Fatalf("node %d: retried %v vs solved %v", j, got.R[0][j], want[j])
+		}
+	}
+}
+
+func canceledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 
 // coalesceServe runs one serving call with the coalescer enabled.
 func coalesceServe(ctx context.Context, s *Solver, co *Coalescer, cache *ScoreCache, space uint64, pool *Pool, queries []int) ([][]float64, []Diagnostics, ServeStats, error) {
-	return s.ScoresSetServingOptCtx(ctx, queries, cache, space, pool, ServeOptions{Coalesce: co})
+	return s.Resolve(ctx, queries, cache, space, pool, ServeOptions{Coalesce: co})
 }
 
 // waitUntil polls cond for up to 5s.

@@ -323,13 +323,8 @@ func (s *Solver) ScoresSet(queries []int) ([][]float64, error) {
 // bad ID anywhere in the set fails fast with fault.ErrBadQuery instead of
 // discarding the solves that preceded it.
 func (s *Solver) ScoresSetCtx(ctx context.Context, queries []int) ([][]float64, []Diagnostics, error) {
-	if len(queries) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
-	}
-	for _, q := range queries {
-		if q < 0 || q >= s.n {
-			return nil, nil, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
-		}
+	if err := s.checkSources(queries); err != nil {
+		return nil, nil, err
 	}
 	R := make([][]float64, len(queries))
 	diags := make([]Diagnostics, len(queries))
@@ -342,6 +337,21 @@ func (s *Solver) ScoresSetCtx(ctx context.Context, queries []int) ([][]float64, 
 		diags[i] = d
 	}
 	return R, diags, nil
+}
+
+// checkSources validates a query set up front — non-empty, every id in
+// range — so a bad id anywhere fails fast with fault.ErrBadQuery before
+// any solve starts or any cache flight is registered.
+func (s *Solver) checkSources(queries []int) error {
+	if len(queries) == 0 {
+		return fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
+	}
+	for _, q := range queries {
+		if q < 0 || q >= s.n {
+			return fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
+		}
+	}
+	return nil
 }
 
 // ExactScores solves Eq. 12 — r = (1−c)(I − c·W̃)⁻¹ e_q — with a dense LU

@@ -27,7 +27,7 @@ import (
 //	ceps_slow_queries_total
 //	ceps_panics_recovered_total
 //	ceps_workers                                     (gauge)
-//	ceps_solves_total{kernel="blocked"|"scalar"|"artifact"}
+//	ceps_solves_total{kernel="blocked"|"artifact"}
 //	ceps_solve_rows_total
 //	ceps_artifact_{hits,misses,fallbacks,rebinds}_total
 //	ceps_artifacts_loaded                            (gauge)
@@ -94,8 +94,8 @@ type engineMetrics struct {
 	// means every miss of the call was served by a precomputed row read —
 	// plus the total matrix rows swept (sweeps × work-graph nodes), whose
 	// ratio to the solve-stage seconds is the rows/s throughput gauge.
-	solvesBlocked, solvesScalar, solvesArtifact *obs.Counter
-	solveRows                                   *obs.Counter
+	solvesBlocked, solvesArtifact *obs.Counter
+	solveRows                     *obs.Counter
 
 	// Coalescer accounting: panels solved and their width distribution
 	// (fed by the coalescer's OnSolve hook, not the per-query path — one
@@ -160,7 +160,6 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 		panics:          reg.Counter("ceps_panics_recovered_total", "Panics converted to ErrInternal at the Engine boundary."),
 		slow:            reg.Counter("ceps_slow_queries_total", "Queries logged by the slow-query log."),
 		solvesBlocked:   reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "blocked"}),
-		solvesScalar:    reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "scalar"}),
 		solvesArtifact:  reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "artifact"}),
 		solveRows:       reg.Counter("ceps_solve_rows_total", "Matrix rows swept by Step 1 power iterations (sweeps × work-graph nodes)."),
 		coalescedSolves: reg.Counter("ceps_coalesced_solves_total", "Blocked panels solved by the cross-request coalescer."),
@@ -310,14 +309,7 @@ func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Durati
 		m.durSolve.Observe(st.Solve.Seconds())
 		m.durCombine.Observe(st.Combine.Seconds())
 		m.durExtract.Observe(st.Extract.Seconds())
-		switch st.SolveKernel {
-		case "blocked":
-			m.solvesBlocked.Inc()
-		case "scalar":
-			m.solvesScalar.Inc()
-		case "artifact":
-			m.solvesArtifact.Inc()
-		}
+		m.countSolve(st.SolveKernel)
 		if st.SolveSweeps > 0 && res.WorkGraph != nil {
 			m.solveRows.Add(uint64(st.SolveSweeps) * uint64(res.WorkGraph.N()))
 		}
@@ -348,6 +340,17 @@ func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Durati
 	}
 }
 
+// countSolve counts one Step 1 solve under its kernel label; "exact"
+// (ReplaceSubteam's dense inverse) has no series.
+func (m *engineMetrics) countSolve(kernel string) {
+	switch kernel {
+	case "blocked":
+		m.solvesBlocked.Inc()
+	case "artifact":
+		m.solvesArtifact.Inc()
+	}
+}
+
 // observeReplace folds one finished subteam-replacement query into the
 // engine-wide aggregates. Replacement shares the error-kind, degraded and
 // shed series with the query path (same failure modes, same dashboards);
@@ -365,14 +368,7 @@ func (m *engineMetrics) observeReplace(res *core.ReplaceResult, strategy string,
 	if res != nil {
 		m.replaceCandidates.Observe(float64(res.PoolSize))
 		m.durSolve.Observe(res.Stages.Solve.Seconds())
-		switch res.Stages.SolveKernel {
-		case "blocked":
-			m.solvesBlocked.Inc()
-		case "scalar":
-			m.solvesScalar.Inc()
-		case "artifact":
-			m.solvesArtifact.Inc()
-		}
+		m.countSolve(res.Stages.SolveKernel)
 		if res.Degraded != nil {
 			switch res.Degraded.Mode {
 			case "relaxed_tol":

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -38,11 +39,18 @@ type precomputeSmokeReport struct {
 	IterativeVsWarm float64 `json:"iterativeVsWarm"`
 }
 
+// precomputeTrials is how many independent cold/warm trials
+// TestPrecomputeSmoke runs; the ceiling is asserted on the median trial so
+// that one host stall during a ~10 ms pass cannot decide the verdict.
+const precomputeTrials = 5
+
 // TestPrecomputeSmoke pins the precompute tier's reason to exist: on a
 // DBLP-scale substrate, cold queries against mmapped artifacts must land
-// within 2x of warm-cache latency, and the tier must actually serve them
-// (hit rate >= 0.9). When BENCH_PRECOMPUTE_OUT names a file the measured
-// numbers are written there as JSON (`make bench-precompute`).
+// within 2x of warm-cache latency (median of precomputeTrials trials, each
+// a fresh engine's cold pass followed by its warm pass), and the tier must
+// actually serve them (hit rate >= 0.9 in every trial). When
+// BENCH_PRECOMPUTE_OUT names a file the median trial is written there as
+// JSON (`make bench-precompute`).
 func TestPrecomputeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
@@ -69,65 +77,59 @@ func TestPrecomputeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cold, no artifacts: the restart penalty the tier removes.
-	bare, err := ceps.NewEngine(g, ceps.WithConfig(cfg), ceps.WithCache(64<<20))
-	if err != nil {
-		t.Fatal(err)
+	pass := func(eng *ceps.Engine) time.Duration {
+		start := time.Now()
+		for _, qs := range sets {
+			if _, err := eng.Query(qs...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
 	}
-	start := time.Now()
-	for _, qs := range sets {
-		if _, err := bare.Query(qs...); err != nil {
+	trials := make([]precomputeSmokeReport, precomputeTrials)
+	for i := range trials {
+		// Cold, no artifacts: the restart penalty the tier removes.
+		bare, err := ceps.NewEngine(g, ceps.WithConfig(cfg), ceps.WithCache(64<<20))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	coldIterative := time.Since(start)
+		coldIterative := pass(bare)
+		bare.Close()
 
-	// Cold, artifacts mmapped: same fresh-start state, tier bound.
-	arte, err := ceps.NewEngine(g, ceps.WithConfig(cfg), ceps.WithCache(64<<20), ceps.WithArtifactDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer arte.Close()
-	start = time.Now()
-	for _, qs := range sets {
-		if _, err := arte.Query(qs...); err != nil {
+		// Cold, artifacts mmapped: same fresh-start state, tier bound;
+		// then warm: the same engine again, answering from the score cache.
+		arte, err := ceps.NewEngine(g, ceps.WithConfig(cfg), ceps.WithCache(64<<20), ceps.WithArtifactDir(dir))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	coldArtifact := time.Since(start)
-
-	// Warm: the same engine again, now answering from the score cache.
-	start = time.Now()
-	for _, qs := range sets {
-		if _, err := arte.Query(qs...); err != nil {
-			t.Fatal(err)
+		coldArtifact := pass(arte)
+		warmCache := pass(arte)
+		st, ok := arte.ArtifactStats()
+		arte.Close()
+		if !ok {
+			t.Fatal("artifact stats should be available")
+		}
+		trials[i] = precomputeSmokeReport{
+			Nodes:                   g.N(),
+			Queries:                 queriesTotal,
+			ArtifactHitRate:         st.HitRate(),
+			ColdArtifactNsPerQuery:  coldArtifact.Nanoseconds() / int64(queriesTotal),
+			ColdIterativeNsPerQuery: coldIterative.Nanoseconds() / int64(queriesTotal),
+			WarmCacheNsPerQuery:     warmCache.Nanoseconds() / int64(queriesTotal),
+			ColdVsWarm:              float64(coldArtifact) / float64(warmCache),
+			IterativeVsWarm:         float64(coldIterative) / float64(warmCache),
+		}
+		t.Logf("precompute smoke trial %d: %+v", i, trials[i])
+		if trials[i].ArtifactHitRate < 0.9 {
+			t.Errorf("trial %d: artifact hit rate %.2f, want >= 0.9 (dense full-graph artifact should serve every cold source)",
+				i, trials[i].ArtifactHitRate)
 		}
 	}
-	warmCache := time.Since(start)
-
-	st, ok := arte.ArtifactStats()
-	if !ok {
-		t.Fatal("artifact stats should be available")
-	}
-	rep := precomputeSmokeReport{
-		Nodes:                   g.N(),
-		Queries:                 queriesTotal,
-		ArtifactHitRate:         st.HitRate(),
-		ColdArtifactNsPerQuery:  coldArtifact.Nanoseconds() / int64(queriesTotal),
-		ColdIterativeNsPerQuery: coldIterative.Nanoseconds() / int64(queriesTotal),
-		WarmCacheNsPerQuery:     warmCache.Nanoseconds() / int64(queriesTotal),
-		ColdVsWarm:              float64(coldArtifact) / float64(warmCache),
-		IterativeVsWarm:         float64(coldIterative) / float64(warmCache),
-	}
-	t.Logf("precompute smoke: %+v", rep)
-
-	if rep.ArtifactHitRate < 0.9 {
-		t.Errorf("artifact hit rate %.2f, want >= 0.9 (dense full-graph artifact should serve every cold source)",
-			rep.ArtifactHitRate)
-	}
+	sort.Slice(trials, func(a, b int) bool { return trials[a].ColdVsWarm < trials[b].ColdVsWarm })
+	rep := trials[len(trials)/2]
 	if rep.ColdVsWarm > 2 {
-		t.Errorf("artifact-served cold pass is %.2fx warm-cache latency, want <= 2x (cold %v, warm %v)",
-			rep.ColdVsWarm, coldArtifact, warmCache)
+		t.Errorf("median artifact-served cold pass is %.2fx warm-cache latency, want <= 2x (cold %d ns/query, warm %d ns/query)",
+			rep.ColdVsWarm, rep.ColdArtifactNsPerQuery, rep.WarmCacheNsPerQuery)
 	}
 
 	if out := os.Getenv("BENCH_PRECOMPUTE_OUT"); out != "" {

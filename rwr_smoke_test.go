@@ -1,6 +1,7 @@
 package ceps_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -89,57 +90,49 @@ func TestRWRKernelSmoke(t *testing.T) {
 }
 
 // TestEngineBlockedSolvesBitIdenticalAndMetered pins the engine-level
-// contract of WithBlockedSolves: a BlockAlways engine returns bit-identical
-// score vectors and the same subgraph as a BlockNever engine, reports the
-// kernel it used in Stages.SolveKernel, and meters its solves into the
-// ceps_solves_total{kernel=...} and ceps_solve_rows_total series.
+// contract of the one Step 1 resolver: every solve is a blocked panel whose
+// score vectors are Float64bits-identical to the per-source reference
+// (ScoresSetCtx) with the same sweep count, the kernel is reported in
+// Stages.SolveKernel, and the solve is metered into the
+// ceps_solves_total{kernel="blocked"} and ceps_solve_rows_total series —
+// with no scalar series left in the exposition.
 func TestEngineBlockedSolvesBitIdenticalAndMetered(t *testing.T) {
 	ds := smallDataset(t)
 	queries := []int{ds.Repository[0][0], ds.Repository[1][0], ds.Repository[2][0]}
 
-	scalar := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithBlockedSolves(ceps.BlockNever))
-	blocked := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithBlockedSolves(ceps.BlockAlways))
-
-	rs, err := scalar.Query(queries...)
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
+	res, err := eng.Query(queries...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := blocked.Query(queries...)
+	if res.Stages.SolveKernel != "blocked" {
+		t.Errorf("SolveKernel = %q, want blocked", res.Stages.SolveKernel)
+	}
+	want, diags, err := res.Solver.ScoresSetCtx(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Stages.SolveKernel != "scalar" {
-		t.Errorf("BlockNever SolveKernel = %q, want scalar", rs.Stages.SolveKernel)
+	sweeps := 0
+	for _, d := range diags {
+		sweeps += d.Sweeps
 	}
-	if rb.Stages.SolveKernel != "blocked" {
-		t.Errorf("BlockAlways SolveKernel = %q, want blocked", rb.Stages.SolveKernel)
+	if sweeps <= 0 || res.Stages.SolveSweeps != sweeps {
+		t.Errorf("SolveSweeps = %d, reference solves swept %d (want equal and positive)", res.Stages.SolveSweeps, sweeps)
 	}
-	if rs.Stages.SolveSweeps <= 0 || rb.Stages.SolveSweeps != rs.Stages.SolveSweeps {
-		t.Errorf("SolveSweeps scalar %d vs blocked %d, want equal and positive",
-			rs.Stages.SolveSweeps, rb.Stages.SolveSweeps)
-	}
-	for i := range rs.R {
-		for j := range rs.R[i] {
-			if math.Float64bits(rb.R[i][j]) != math.Float64bits(rs.R[i][j]) {
-				t.Fatalf("score R[%d][%d] differs between kernels: %v vs %v", i, j, rb.R[i][j], rs.R[i][j])
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(res.R[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("score R[%d][%d] differs from the reference solve: %v vs %v", i, j, res.R[i][j], want[i][j])
 			}
 		}
 	}
-	if len(rb.Subgraph.Nodes) != len(rs.Subgraph.Nodes) {
-		t.Fatalf("subgraph sizes differ: %d vs %d", len(rb.Subgraph.Nodes), len(rs.Subgraph.Nodes))
-	}
-	for i := range rs.Subgraph.Nodes {
-		if rb.Subgraph.Nodes[i] != rs.Subgraph.Nodes[i] {
-			t.Fatalf("subgraph node %d differs: %d vs %d", i, rb.Subgraph.Nodes[i], rs.Subgraph.Nodes[i])
-		}
-	}
 
-	if text := scrape(t, scalar); !strings.Contains(text, `ceps_solves_total{kernel="scalar"} 1`) {
-		t.Errorf("scalar engine exposition missing ceps_solves_total{kernel=\"scalar\"} 1\n%s", text)
-	}
-	text := scrape(t, blocked)
+	text := scrape(t, eng)
 	if !strings.Contains(text, `ceps_solves_total{kernel="blocked"} 1`) {
-		t.Errorf("blocked engine exposition missing ceps_solves_total{kernel=\"blocked\"} 1\n%s", text)
+		t.Errorf("exposition missing ceps_solves_total{kernel=\"blocked\"} 1\n%s", text)
+	}
+	if strings.Contains(text, `kernel="scalar"`) {
+		t.Errorf("exposition still carries a scalar kernel series\n%s", text)
 	}
 	if !strings.Contains(text, "ceps_solve_rows_total") || !strings.Contains(text, "ceps_solve_rows_per_second") {
 		t.Errorf("exposition missing solve throughput series\n%s", text)
